@@ -53,25 +53,10 @@ let targets : target list =
       };
     ]
 
-(* Per-shard aggregates attributed to one target: the difference of two
-   Runner.shard_totals snapshots (the later may have grown in width if
-   this target's runs used more shards). *)
-type shard_snap = int * float array * int array * int array
-
-let shard_delta ((r0, w0, st0, sp0) : shard_snap)
-    ((r1, w1, st1, sp1) : shard_snap) =
-  let n = Array.length w1 in
-  let at a i = if i < Array.length a then a.(i) else 0 in
-  let atf a i = if i < Array.length a then a.(i) else 0.0 in
-  ( r1 - r0,
-    Array.init n (fun i -> w1.(i) -. atf w0 i),
-    Array.init n (fun i -> st1.(i) - at st0 i),
-    Array.init n (fun i -> sp1.(i) - at sp0 i) )
-
 let host_cores () = Domain.recommended_domain_count ()
 
-let write_json ~name ~wall ~cycles ~jobs ~shards ~performed ~elided
-    ~cached_runs ~shard_info ~checks ~fast_hits ~crashes ~recovery_cycles =
+let write_json ~name ~wall ~runs ~cycles ~jobs ~performed ~elided
+    ~cached_runs ~checks ~fast_hits ~crashes ~recovery_cycles =
   let file = Printf.sprintf "BENCH_%s.json" name in
   let oc = open_out file in
   (* With SHASTA_TRACE=1 the runner aggregates protocol metrics over
@@ -92,77 +77,49 @@ let write_json ~name ~wall ~cycles ~jobs ~shards ~performed ~elided
     | Some j -> Printf.sprintf ",\n  \"ycsb\": %s" j
     | None -> ""
   in
-  (* Sharded-scheduler observability: per-shard host seconds and
-     occupancy (resumes / loop iterations — the rest were parked at the
-     cross-shard bound), summed over this target's sharded runs. Only
-     present when some run actually sharded. *)
-  let sharding =
-    let runs, walls, steps, spins = shard_info in
-    if runs = 0 then ""
-    else
-      let fmt_list f a =
-        String.concat ", " (Array.to_list (Array.map f a))
-      in
-      let occ =
-        Array.init (Array.length steps) (fun i ->
-            let total = steps.(i) + spins.(i) in
-            if total = 0 then 1.0
-            else float_of_int steps.(i) /. float_of_int total)
-      in
-      Printf.sprintf
-        ",\n\
-        \  \"sharded_runs\": %d,\n\
-        \  \"shard_wall_seconds\": [%s],\n\
-        \  \"shard_occupancy\": [%s]"
-        runs
-        (fmt_list (Printf.sprintf "%.3f") walls)
-        (fmt_list (Printf.sprintf "%.3f") occ)
-  in
+  (* A target that executed no Runner runs (ycsb builds its own
+     machines; a later target may be served entirely from the cache)
+     has no simulated time or fused-hit rate of its own: null, not 0. *)
+  let if_ran f = if runs = 0 then "null" else f () in
   Printf.fprintf oc
     "{\n\
     \  \"target\": %S,\n\
     \  \"wall_seconds\": %.3f,\n\
-    \  \"simulated_cycles\": %d,\n\
-    \  \"simulated_seconds\": %.6f,\n\
+    \  \"simulated_cycles\": %s,\n\
+    \  \"simulated_seconds\": %s,\n\
     \  \"jobs\": %d,\n\
-    \  \"shards\": %d,\n\
     \  \"host_cores\": %d,\n\
     \  \"yields_performed\": %d,\n\
     \  \"yields_elided\": %d,\n\
     \  \"fastpath\": %b,\n\
-    \  \"hit_fastpath_rate\": %.6f,\n\
+    \  \"hit_fastpath_rate\": %s,\n\
     \  \"crashes\": %d,\n\
     \  \"recovery_cycles\": %d,\n\
-    \  \"cached_runs\": %d%s%s%s\n\
+    \  \"cached_runs\": %d%s%s\n\
      }\n"
-    name wall cycles (E.Runner.seconds cycles) jobs shards (host_cores ())
-    performed elided
+    name wall
+    (if_ran (fun () -> string_of_int cycles))
+    (if_ran (fun () -> Printf.sprintf "%.6f" (E.Runner.seconds cycles)))
+    jobs (host_cores ()) performed elided
     (Shasta_core.Config.env_fastpath ())
-    (if checks = 0 then 0.0 else float_of_int fast_hits /. float_of_int checks)
-    crashes recovery_cycles cached_runs sharding metrics ycsb;
+    (if_ran (fun () ->
+         Printf.sprintf "%.6f"
+           (if checks = 0 then 0.0
+            else float_of_int fast_hits /. float_of_int checks)))
+    crashes recovery_cycles cached_runs metrics ycsb;
   close_out oc;
   Printf.eprintf "[wrote %s]\n%!" file
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--quick] [--json] [--jobs N] [--shards N] \
-     [TARGET...]\ntargets: %s\n"
+    "usage: main.exe [--quick] [--json] [--jobs N] [TARGET...]\ntargets: %s\n"
     (String.concat " " (List.map (fun t -> t.name) targets));
   exit 2
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = ref false and json = ref false and jobs = ref None in
-  let shards_flag = ref None in
   let wanted = ref [] in
-  let set_shards raw =
-    match int_of_string_opt raw with
-    | Some n when n >= 0 -> shards_flag := Some n
-    | _ ->
-      Printf.eprintf "--shards: expected a non-negative integer (0 = auto), got %S\n"
-        raw;
-      exit 2
-  in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -187,12 +144,6 @@ let () =
       | _ ->
         Printf.eprintf "--jobs: expected a positive integer, got %S\n" arg;
         exit 2)
-    | "--shards" :: n :: rest ->
-      set_shards n;
-      parse rest
-    | arg :: rest when String.length arg >= 9 && String.sub arg 0 9 = "--shards=" ->
-      set_shards (String.sub arg 9 (String.length arg - 9));
-      parse rest
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
       Printf.eprintf "unknown option %S\n" arg;
       usage ()
@@ -205,29 +156,13 @@ let () =
   let jobs =
     match !jobs with Some j -> j | None -> Shasta_util.Pool.default_jobs ()
   in
-  (* --shards overrides the environment; every run created from here on
-     (Config.create reads SHASTA_SHARDS) schedules with that many
-     domains. The requested value, 0 meaning auto. *)
-  (match !shards_flag with
-  | Some n -> Unix.putenv "SHASTA_SHARDS" (string_of_int n)
-  | None -> ());
-  let shards_requested =
-    match !shards_flag with
-    | Some n -> n
-    | None -> Shasta_core.Config.env_shards ()
-  in
-  let shards_eff =
-    if shards_requested = 0 then host_cores () else shards_requested
-  in
   let wanted =
     match List.rev !wanted with
     | [] -> List.map (fun t -> t.name) targets
     | names -> names
   in
-  Printf.eprintf "[bench: %d job%s, shards %s, %d host core%s]\n%!" jobs
+  Printf.eprintf "[bench: %d job%s, %d host core%s]\n%!" jobs
     (if jobs = 1 then "" else "s")
-    (if shards_requested = 0 then Printf.sprintf "auto(%d)" shards_eff
-     else string_of_int shards_requested)
     (host_cores ())
     (if host_cores () = 1 then "" else "s");
   List.iter
@@ -239,7 +174,7 @@ let () =
         let yp0, ye0 = Engine.yield_counts () in
         let ck0, fh0 = E.Runner.fastpath_totals () in
         let cr0, rc0 = E.Runner.crash_totals () in
-        let s0 = E.Runner.shard_totals () in
+        let n0 = E.Runner.cache_size () in
         E.Runner.run_batch ~jobs (target.specs ~scale);
         let out = target.render ~scale in
         let wall = Unix.gettimeofday () -. t0 in
@@ -248,47 +183,18 @@ let () =
         Printf.eprintf "[%s completed in %.1fs host time; %d cached runs]\n%!"
           name wall
           (E.Runner.cache_size ());
-        let shard_info = shard_delta s0 (E.Runner.shard_totals ()) in
-        let runs, _, steps, spins = shard_info in
-        if runs > 0 then begin
-          let occ =
-            String.concat " "
-              (Array.to_list
-                 (Array.init (Array.length steps) (fun i ->
-                      let total = steps.(i) + spins.(i) in
-                      Printf.sprintf "%.2f"
-                        (if total = 0 then 1.0
-                         else float_of_int steps.(i) /. float_of_int total))))
-          in
-          Printf.eprintf "[%s: %d sharded run%s; per-shard occupancy %s]\n%!"
-            name runs
-            (if runs = 1 then "" else "s")
-            occ;
-          if host_cores () < shards_eff * jobs then
-            Printf.eprintf
-              "[%s: note: %d shard%s x %d job%s on %d host core%s — shards \
-               time-slice the cores, so wall-clock speedup is bounded by the \
-               core count, not the shard count]\n\
-               %!"
-              name shards_eff
-              (if shards_eff = 1 then "" else "s")
-              jobs
-              (if jobs = 1 then "" else "s")
-              (host_cores ())
-              (if host_cores () = 1 then "" else "s")
-        end;
         if !json then begin
           let yp1, ye1 = Engine.yield_counts () in
           let ck1, fh1 = E.Runner.fastpath_totals () in
           let cr1, rc1 = E.Runner.crash_totals () in
           write_json ~name ~wall
+            ~runs:(E.Runner.cache_size () - n0)
             ~cycles:(E.Runner.simulated_cycles () - c0)
-            ~jobs ~shards:shards_eff ~performed:(yp1 - yp0)
+            ~jobs ~performed:(yp1 - yp0)
             ~elided:(ye1 - ye0)
             ~checks:(ck1 - ck0) ~fast_hits:(fh1 - fh0)
             ~crashes:(cr1 - cr0) ~recovery_cycles:(rc1 - rc0)
             ~cached_runs:(E.Runner.cache_size ())
-            ~shard_info
         end
       | None ->
         Printf.eprintf "unknown target %S; known: %s\n" name

@@ -75,7 +75,7 @@ let run_app app_name nprocs protocol clustering vg scale seed smp_sync share_dir
    targets' specs through the domain pool, then render each target
    sequentially from the warm cache. Output is byte-identical for any
    job count; only wall-clock changes. *)
-let report_targets target_names quick jobs shards =
+let report_targets target_names quick jobs =
   let module Targets = Shasta_experiments.Targets in
   let scale = if quick then 0.5 else 1.0 in
   let jobs =
@@ -85,14 +85,6 @@ let report_targets target_names quick jobs shards =
     Printf.eprintf "--jobs must be a positive integer\n";
     exit 2
   end;
-  (* Override SHASTA_SHARDS for every run created below (Config.create
-     reads it); -1 leaves the environment as-is. *)
-  (match shards with
-  | -1 -> ()
-  | n when n >= 0 -> Unix.putenv "SHASTA_SHARDS" (string_of_int n)
-  | _ ->
-    Printf.eprintf "--shards must be >= 0 (0 = auto)\n";
-    exit 2);
   let names = if target_names = [] then Targets.names else target_names in
   match
     List.partition_map
@@ -159,7 +151,7 @@ let report_targets target_names quick jobs shards =
      let module H = Shasta_util.Histogram in
      match Ycsb.totals () with
      | None -> ()
-     | Some (runs, classes) ->
+     | Some (runs, classes, unattributed) ->
        Printf.eprintf "[ycsb aggregate over %d run(s), latency cycles:]\n"
          runs;
        List.iter
@@ -170,16 +162,16 @@ let report_targets target_names quick jobs shards =
              (H.percentile lat 0.99) (H.percentile lat 0.999)
              (float_of_int msgs /. float_of_int (max 1 ops)))
          classes;
-       Printf.eprintf "%!");
+       Printf.eprintf "[  unattributed_msgs %d]\n%!" unattributed);
     0
 
 (* YCSB traffic generator: stream a keyed op mix (read/update/rmw/
    insert/scan) through the DSM-backed KV store and report per-op-class
    p50/p99/p999 latency and messages/op. Stdout carries only
-   virtual-time quantities, so it is bit-identical across shard counts
-   and host runs; host wall time goes to stderr. *)
+   virtual-time quantities, so it is bit-identical across host runs;
+   host wall time goes to stderr. *)
 let run_ycsb workload records ops dist theta scan_max nprocs protocol
-    clustering seed no_progs shards =
+    clustering seed no_progs =
   let module Sampler = Shasta_workload.Sampler in
   let module Ycsb = Shasta_workload.Ycsb in
   match Ycsb.mix_of_string workload with
@@ -204,14 +196,13 @@ let run_ycsb workload records ops dist theta scan_max nprocs protocol
     | Some dist ->
       let spec =
         Ycsb.spec ~mix ~records ~ops ~dist ~theta ~scan_max ~variant ~nprocs
-          ~clustering ~seed ~progs:(not no_progs) ~shards ()
+          ~clustering ~seed ~progs:(not no_progs) ()
       in
       let t0 = Unix.gettimeofday () in
       let r = Ycsb.run spec in
       let host = Unix.gettimeofday () -. t0 in
       print_string (Ycsb.render r);
-      Printf.eprintf "[%d ops in %.1fs host, %d shard(s), %s path]\n%!" ops
-        host r.Ycsb.shards_used
+      Printf.eprintf "[%d ops in %.1fs host, %s path]\n%!" ops host
         (if r.Ycsb.compiled then "access-program" else "closure");
       if r.Ycsb.oracle_ok then 0 else 1)
 
@@ -478,17 +469,6 @@ let jobs_arg =
            default) means $(b,SHASTA_JOBS) or the machine's core count. The \
            rendered tables are identical for any value.")
 
-let shards_arg =
-  Arg.(
-    value & opt int (-1)
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Number of scheduler shards (domains) inside each simulation; 0 \
-           means auto (one per coherence node, capped at the core count), 1 \
-           runs the sequential scheduler in place. Default: the \
-           $(b,SHASTA_SHARDS) environment variable, else auto. The rendered \
-           tables are identical for any value.")
-
 let report_cmd =
   Cmd.v
     (Cmd.info "report"
@@ -496,7 +476,7 @@ let report_cmd =
          "Regenerate the paper's tables/figures, executing the independent \
           simulations concurrently on a domain pool")
     Term.(
-      const report_targets $ targets_arg $ quick_arg $ jobs_arg $ shards_arg)
+      const report_targets $ targets_arg $ quick_arg $ jobs_arg)
 
 let ycsb_workload_arg =
   Arg.(
@@ -549,8 +529,7 @@ let ycsb_cmd =
     Term.(
       const run_ycsb $ ycsb_workload_arg $ ycsb_records_arg $ ycsb_ops_arg
       $ ycsb_dist_arg $ ycsb_theta_arg $ ycsb_scan_max_arg $ nprocs_arg
-      $ protocol_arg $ clustering_arg $ seed_arg $ ycsb_no_progs_arg
-      $ shards_arg)
+      $ protocol_arg $ clustering_arg $ seed_arg $ ycsb_no_progs_arg)
 
 let litmus_arg =
   Arg.(

@@ -46,8 +46,13 @@ let kernels_ok =
         ("Registry: kernel access programs failed static verification:\n"
         ^ String.concat "\n" lines))
 
+(* [find] runs on the experiment runner's worker domains, and forcing a
+   lazy value while another domain is still forcing it raises
+   [Lazy.Undefined]: the first verification is serialized. *)
+let kernels_mutex = Mutex.create ()
+
 let find name =
-  Lazy.force kernels_ok;
+  Mutex.protect kernels_mutex (fun () -> Lazy.force kernels_ok);
   List.assoc name all
 let names = List.map fst all
 let splash2 = List.map fst splash2_apps

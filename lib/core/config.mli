@@ -49,14 +49,6 @@ type t = private {
           metrics observer. Like hooks in general it never charges
           simulated cycles. Defaults to the [SHASTA_TRACE] environment
           variable. *)
-  shards : int;
-      (** scheduler shards for a single run: 0 (the default) means
-          "auto" — one shard per coherence node, capped by the host's
-          recommended domain count; 1 forces the sequential scheduler on
-          the calling domain; N > 1 requests exactly N shards (clamped
-          to the node count). Simulated results are bit-identical at any
-          setting. Defaults to the [SHASTA_SHARDS] environment
-          variable. *)
   fastpath : bool;
       (** enable the fused inline-check fast path (hit checks resolved
           against a single state-table byte, batched per-line checks in
@@ -71,8 +63,7 @@ type t = private {
           elapsed since its last snapshot, and logs sent messages in
           between (piggybacked on the [on_send] observer hook — zero
           simulated cycles). 0 (the default) disables checkpointing.
-          Defaults to the [SHASTA_CKPT] environment variable. Forces the
-          sequential scheduler. *)
+          Defaults to the [SHASTA_CKPT] environment variable. *)
   fault : fault option;  (** test-only protocol fault injection *)
 }
 
@@ -101,7 +92,12 @@ val create :
 (** Defaults: [Base], 1 processor, 4 per node, clustering 1, 64-byte
     lines, 8 MiB heap, checks enabled. Raises [Invalid_argument] on
     inconsistent combinations (Base with clustering > 1, clustering not
-    dividing the node size, non-positive sizes). *)
+    dividing the node size, non-positive sizes).
+
+    [shards] is kept only so the benchmark under [perfbench/] compiles
+    unchanged: it accepts [1] (every run executes on the calling domain)
+    and raises [Invalid_argument] on any other value. The next change to
+    the benchmark drops it. *)
 
 val env_fastpath : unit -> bool
 (** The [SHASTA_FASTPATH] environment variable: ["0"] means off,
@@ -114,13 +110,6 @@ val env_ckpt : unit -> int
     interval in cycles: absent, empty or ["0"] mean 0 (off); [N >= 1]
     means snapshot every [N] cycles. Raises [Invalid_argument] on
     anything else. The default for {!create}'s [?ckpt]. *)
-
-val env_shards : unit -> int
-(** The [SHASTA_SHARDS] environment variable parsed to the [shards]
-    encoding: absent, empty, ["auto"] or ["0"] mean 0 (auto); [N >= 1]
-    means exactly [N]. Raises [Invalid_argument] on anything else. The
-    default for {!create}'s [?shards]; exposed so harnesses (bench) can
-    report the requested value. *)
 
 val nnodes : t -> int
 (** Number of coherence nodes (sharing domains). *)

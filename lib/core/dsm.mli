@@ -51,7 +51,6 @@ type ctx
 
 val run :
   ?run_ahead:bool ->
-  ?shards:int ->
   ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
   handle ->
   (ctx -> unit) ->
@@ -60,20 +59,8 @@ val run :
     protocol. May be called once per handle. [run_ahead] (default
     [true]) enables the slack-based run-ahead scheduler; disabling it
     forces a full scheduler round-trip at every charged scheduling
-    point, which must produce the identical simulation.
-
-    [shards] overrides [Config.shards] for this run (same encoding:
-    0 = auto). With more than one shard the run executes as a
-    conservative parallel discrete-event simulation across OCaml 5
-    domains — one per group of coherence nodes, see
-    {!Shasta_sim.Engine.run_sharded} — whose merged event stream and
-    every simulated-time result (cycles, stats, messages, memory) are
-    bit-identical to the sequential scheduler; only host wall time and
-    the yield counters of {!sched_counts} differ. The request is capped
-    at the node count and forced to 1 when [run_ahead] is off, fault
-    injection is configured, [sanitize >= 2] (the race detector needs
-    the sequential merged event order), checkpointing is enabled
-    ([Config.ckpt] > 0), or [events] is non-empty.
+    point, which must produce the identical simulation. Every body runs
+    on the calling domain.
 
     [events] schedules virtual-time callbacks — the crash-injection
     surface, see {!Shasta_sim.Engine.run} and {!Shasta_recover.Crash}.
@@ -247,15 +234,4 @@ val downgrade_messages : handle -> int
 val sched_counts : handle -> int * int
 (** (performed, elided) yield-effect counts of this handle's {!run} —
     the per-run scheduler observability of {!Shasta_sim.Engine.outcome}.
-    [(0, 0)] before [run]. Under a sharded run the split between
-    performed and elided depends on host timing (parking at the
-    cross-shard bound re-publishes horizons); treat as diagnostics
-    only. *)
-
-val shards_used : handle -> int
-(** Shards the {!run} actually executed with, after auto resolution and
-    the forced-sequential fallbacks. [0] before [run]. *)
-
-val shard_stats : handle -> Shasta_sim.Engine.shard_stats option
-(** Per-shard wall/steps/spins of a sharded {!run}; [None] before [run]
-    or when it ran sequentially. *)
+    [(0, 0)] before [run]. *)

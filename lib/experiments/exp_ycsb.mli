@@ -7,8 +7,8 @@
     record count, reporting p50/p99/p999 op latency and messages/op per
     operation class. Every run is oracle-checked (per-key sequential
     consistency against a lock-order shadow). All rendered quantities
-    are virtual-time, so the table is bit-identical across shard
-    counts. *)
+    are virtual-time, so the table is bit-identical across job counts
+    and host runs. *)
 
 val render : scale:float -> unit -> string
 

@@ -114,46 +114,6 @@ let metrics_snapshot () =
       Shasta_trace.Metrics.merge_into ~into:copy metrics_agg;
       copy)
 
-(* Per-shard host-time aggregates over every run the sharded scheduler
-   executed (SHASTA_SHARDS / bench --shards). Arrays grow to the largest
-   shard count seen; walls accumulate host seconds, steps/spins the
-   scheduler's resume/parked-iteration counters (their ratio is the
-   occupancy the bench JSON reports). Guarded by a mutex: runs may
-   complete on worker domains. *)
-let shard_mutex = Mutex.create ()
-let shard_runs = ref 0
-let shard_walls : float array ref = ref [||]
-let shard_steps : int array ref = ref [||]
-let shard_spins : int array ref = ref [||]
-
-let record_shards h =
-  match Dsm.shard_stats h with
-  | None -> ()
-  | Some st ->
-    let module E = Shasta_sim.Engine in
-    Mutex.protect shard_mutex (fun () ->
-        let n = Array.length st.E.shard_walls in
-        let grow a zero =
-          if Array.length !a < n then
-            a := Array.append !a (Array.make (n - Array.length !a) zero)
-        in
-        grow shard_walls 0.0;
-        grow shard_steps 0;
-        grow shard_spins 0;
-        incr shard_runs;
-        for s = 0 to n - 1 do
-          !shard_walls.(s) <- !shard_walls.(s) +. st.E.shard_walls.(s);
-          !shard_steps.(s) <- !shard_steps.(s) + st.E.shard_steps.(s);
-          !shard_spins.(s) <- !shard_spins.(s) + st.E.shard_spins.(s)
-        done)
-
-let shard_totals () =
-  Mutex.protect shard_mutex (fun () ->
-      ( !shard_runs,
-        Array.copy !shard_walls,
-        Array.copy !shard_steps,
-        Array.copy !shard_spins ))
-
 let execute spec =
   let maker = Shasta_apps.Registry.find spec.app in
   let inst = maker ~vg:spec.vg ~scale:spec.scale () in
@@ -194,7 +154,6 @@ let execute spec =
               ~interval:cfg.Config.ckpt);
   let body, verify = inst.App.setup h in
   Dsm.run h body;
-  record_shards h;
   (match mx with
   | Some mx ->
     Atomic.incr metrics_runs;

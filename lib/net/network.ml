@@ -74,19 +74,6 @@ module Heap = struct
   let pop h = if h.size = 0 then None else Some (pop_exn h)
 end
 
-(* One cross-shard letterbox: senders of one shard push under the mutex,
-   the owning (destination) shard drains the whole list at its loop top.
-   Order within the list is irrelevant — delivery order is decided by
-   the (arrival, sent, src, seq) stamps once the messages reach the
-   destination heap — so a LIFO cons list is enough. [mb_nonempty]
-   lets the receiver skip the lock on the (overwhelmingly common) empty
-   probe. *)
-type 'a mailbox = {
-  mb_mutex : Mutex.t;
-  mutable mb_items : (int * 'a msg) list;  (* (dst, message) *)
-  mb_nonempty : bool Atomic.t;
-}
-
 type 'a t = {
   topo : Topology.t;
   link : Link.t;
@@ -96,26 +83,14 @@ type 'a t = {
       (* flat nprocs x nprocs table: [src * nprocs + dst] holds the last
          arrival timestamp assigned on that ordered pair, [min_int] when
          the pair has never carried a message. Replaces a tuple-keyed
-         Hashtbl whose probe allocated a (src, dst) key on every send.
-         Each cell is written only by [src]'s domain. *)
+         Hashtbl whose probe allocated a (src, dst) key on every send. *)
   seqs : int array;
       (* per-source send sequence. [seq] is only ever compared between
          messages of the same sender (see [Heap.less]), so a per-source
-         counter yields the exact delivery order of the old global
-         counter while keeping sends from different domains race-free. *)
+         counter yields the exact delivery order of a global one. *)
   n_local : int array;  (* per source, summed on demand post-run *)
   n_remote : int array;
   n_bytes_remote : int array;
-  (* Sharding (set before a sharded run, [None] otherwise): messages
-     whose source and destination processors live on different shards
-     detour through a mailbox instead of being pushed straight into the
-     destination heap, which only the destination's domain may touch. *)
-  mutable shard_of : (int -> int) option;
-  mutable nshards : int;
-  mutable mailboxes : 'a mailbox array;  (* src_shard * nshards + dst_shard *)
-  xsent : int Atomic.t;
-      (* cross-shard sends, incremented BEFORE the mailbox push so the
-         termination detector can never observe a push it hasn't counted *)
   (* Crash quarantine: once a processor is marked dead, sends from or to
      it are silently discarded (the wire to a crashed node is cut). The
      [any_dead] flag keeps the common no-crash path at one branch. *)
@@ -136,25 +111,10 @@ let create topo link =
     n_local = Array.make nprocs 0;
     n_remote = Array.make nprocs 0;
     n_bytes_remote = Array.make nprocs 0;
-    shard_of = None;
-    nshards = 1;
-    mailboxes = [||];
-    xsent = Atomic.make 0;
     deads = Array.make nprocs false;
     any_dead = false;
     n_dropped = 0;
   }
-
-let set_sharding t ~shards ~shard_of =
-  t.shard_of <- (if shards > 1 then Some shard_of else None);
-  t.nshards <- shards;
-  t.mailboxes <-
-    Array.init (shards * shards) (fun _ ->
-        {
-          mb_mutex = Mutex.create ();
-          mb_items = [];
-          mb_nonempty = Atomic.make false;
-        })
 
 let send t ~src ~dst ~now ~size payload =
   if t.any_dead && (t.deads.(src) || t.deads.(dst)) then
@@ -176,40 +136,7 @@ let send t ~src ~dst ~now ~size payload =
   end;
   let m = { arrival; sent = now; src; seq = t.seqs.(src); payload } in
   t.seqs.(src) <- t.seqs.(src) + 1;
-  match t.shard_of with
-  | Some shard_of when shard_of src <> shard_of dst ->
-    Atomic.incr t.xsent;
-    let mb = t.mailboxes.((shard_of src * t.nshards) + shard_of dst) in
-    Mutex.lock mb.mb_mutex;
-    mb.mb_items <- (dst, m) :: mb.mb_items;
-    Atomic.set mb.mb_nonempty true;
-    Mutex.unlock mb.mb_mutex;
-    ()
-  | Some _ | None -> Heap.push t.queues.(dst) m
-
-(* Move every mailboxed message bound for [shard] into its destination
-   heap; returns the count moved. Called only by [shard]'s own domain,
-   which also owns those heaps. *)
-let drain_shard t ~shard =
-  let moved = ref 0 in
-  for s = 0 to t.nshards - 1 do
-    let mb = t.mailboxes.((s * t.nshards) + shard) in
-    if Atomic.get mb.mb_nonempty then begin
-      Mutex.lock mb.mb_mutex;
-      let items = mb.mb_items in
-      mb.mb_items <- [];
-      Atomic.set mb.mb_nonempty false;
-      Mutex.unlock mb.mb_mutex;
-      List.iter
-        (fun (dst, m) ->
-          incr moved;
-          Heap.push t.queues.(dst) m)
-        items
-    end
-  done;
-  !moved
-
-let cross_sent t = Atomic.get t.xsent
+  Heap.push t.queues.(dst) m
 
 let poll t ~dst ~now =
   let q = t.queues.(dst) in
@@ -239,8 +166,7 @@ let dropped t = t.n_dropped
 (* Discard every queued message with a dead endpoint (the in-flight
    traffic of the crashed node at the instant of the crash). Rebuilds
    each surviving heap by re-pushing the survivors — O(n log n), only
-   ever run at a crash. Not shard-safe: crashes force the sequential
-   scheduler. *)
+   ever run at a crash. *)
 let purge_dead t =
   let purged = ref 0 in
   for dst = 0 to t.nprocs - 1 do

@@ -80,13 +80,13 @@ type spec = {
   clustering : int;
   seed : int;
   progs : bool;
-  shards : int;
 }
 
 let spec ?(mix = A) ?(records = 10_000) ?(ops = 40_000)
     ?(dist = Sampler.Zipfian) ?(theta = 0.99) ?(scan_max = 16)
     ?(variant = Config.Smp) ?(nprocs = 16) ?(clustering = 4) ?(seed = 42)
-    ?(progs = true) ?(shards = -1) () =
+    ?(progs = true) ?(shards = 1) () =
+  if shards <> 1 then invalid_arg "Ycsb.spec: shards must be 1";
   {
     mix;
     records;
@@ -99,7 +99,6 @@ let spec ?(mix = A) ?(records = 10_000) ?(ops = 40_000)
     clustering;
     seed;
     progs;
-    shards;
   }
 
 type class_stats = {
@@ -114,7 +113,6 @@ type result = {
   nbuckets : int;
   bcap : int;
   compiled : bool;
-  shards_used : int;
   parallel_cycles : int;
   remote_msgs : int;
   local_msgs : int;
@@ -153,19 +151,21 @@ let totals () =
             List.filter_map
               (fun cls ->
                 let i = ci cls in
-                if totals_ops.(i) = 0 && totals_msgs.(i) = 0 then None
+                if cls = Other || (totals_ops.(i) = 0 && totals_msgs.(i) = 0)
+                then None
                 else
                   Some
                     ( cls,
                       totals_ops.(i),
                       Histogram.merge totals_lat.(i) (Histogram.create ()),
                       totals_msgs.(i) ))
-              class_order ))
+              class_order,
+            totals_msgs.(ci Other) ))
 
 let totals_json () =
   match totals () with
   | None -> None
-  | Some (runs, classes) ->
+  | Some (runs, classes, unattributed) ->
     let cls_json (cls, ops, lat, msgs) =
       Printf.sprintf
         "\"%s\": { \"ops\": %d, \"p50\": %d, \"p99\": %d, \"p999\": %d, \
@@ -177,8 +177,11 @@ let totals_json () =
         (float_of_int msgs /. float_of_int (max 1 ops))
     in
     Some
-      (Printf.sprintf "{ \"runs\": %d, \"classes\": { %s } }" runs
-         (String.concat ", " (List.map cls_json classes)))
+      (Printf.sprintf
+         "{ \"runs\": %d, \"classes\": { %s }, \"unattributed_msgs\": %d }"
+         runs
+         (String.concat ", " (List.map cls_json classes))
+         unattributed)
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
@@ -214,7 +217,6 @@ let run spec =
   let cfg =
     Config.create ~variant:spec.variant ~nprocs:np
       ~clustering:spec.clustering ~heap_bytes:heap ~seed:spec.seed
-      ?shards:(if spec.shards >= 0 then Some spec.shards else None)
       ()
   in
   let h = Dsm.create cfg in
@@ -236,12 +238,10 @@ let run spec =
   in
   let live = Array.make nkeys false in
   Array.fill live 0 records true;
-  (* Per-processor measurement state, merged in pid order after the run
-     so results are independent of shard count and host scheduling.
+  (* Per-processor measurement state, merged in pid order after the run.
      [cur.(p)] names the op class processor [p] is currently executing;
-     the [on_send] hook runs on the sending processor's domain (its
-     [src] is the executing processor), so reading [cur.(src)] there is
-     race-free. *)
+     the [on_send] hook fires on the sending processor (its [src] is the
+     executing processor), so [cur.(src)] is the class to charge. *)
   let cur = Array.make np (ci Other) in
   let msgs = Array.init np (fun _ -> Array.make nclasses 0) in
   let lat =
@@ -493,7 +493,6 @@ let run spec =
     nbuckets;
     bcap = Kv.bcap t;
     compiled;
-    shards_used = Dsm.shards_used h;
     parallel_cycles = Dsm.parallel_cycles h;
     remote_msgs = Dsm.messages_remote h;
     local_msgs = Dsm.messages_local h - downgrade_msgs;
@@ -515,6 +514,7 @@ let render r =
     (match spec.variant with Config.Base -> "base" | Config.Smp -> "smp")
     spec.nprocs spec.clustering spec.seed
     (if r.compiled then ", access programs" else "");
+  let ops, other = List.partition (fun c -> c.cls <> Other) r.classes in
   let rows =
     List.map
       (fun c ->
@@ -527,7 +527,7 @@ let render r =
           Printf.sprintf "%.2f"
             (float_of_int c.msgs /. float_of_int (max 1 c.count));
         ])
-      r.classes
+      ops
   in
   Buffer.add_string b
     (Text_table.render
@@ -536,7 +536,8 @@ let render r =
   Buffer.add_char b '\n';
   Printf.bprintf b
     "parallel cycles %d | messages %d remote / %d local / %d downgrade | \
-     dropped inserts %d | oracle %s\n"
+     unattributed_msgs %d | dropped inserts %d | oracle %s\n"
     r.parallel_cycles r.remote_msgs r.local_msgs r.downgrade_msgs
+    (List.fold_left (fun a c -> a + c.msgs) 0 other)
     r.dropped_inserts r.oracle;
   Buffer.contents b

@@ -6,7 +6,7 @@
     machine shape. Every processor draws its own deterministic op
     stream from seeded samplers, so a run is reproducible per seed and
     — like every simulation here — bit-identical in virtual time
-    whatever the shard count or host scheduling.
+    whatever the host scheduling.
 
     Measurement is per {e op class} (read / update / rmw / insert /
     scan): each op's latency (cycles between entering and leaving the
@@ -14,7 +14,7 @@
     every protocol message is attributed via an [on_send] hook to the
     class its sending processor is currently executing — hooks charge
     no cycles, so measuring is free. Per-processor series are merged in
-    pid order after the run, keeping results shard-invariant.
+    pid order after the run.
 
     Correctness is checked like the registered apps: a host shadow copy
     is maintained inside the same bucket critical sections (per-key
@@ -38,8 +38,9 @@ type op_class = Read | Update | Rmw | Insert | Scan | Other
 val class_name : op_class -> string
 
 val class_order : op_class list
-(** Fixed rendering/merge order. [Other] holds messages sent outside
-    any op (none in the current bodies). *)
+(** Fixed rendering/merge order. [Other] is not an op class: it holds
+    the messages sent outside any op (before a processor's first op and
+    during the post-run drain), reported as [unattributed_msgs]. *)
 
 type spec = {
   mix : mix;
@@ -56,8 +57,6 @@ type spec = {
       (** compile get/put/rmw probes to checked access programs when the
           mix allows it (no inserts); cycle-identical to the closure
           path *)
-  shards : int;  (** [Config.shards] encoding, or [-1] for the
-                     configuration default ([SHASTA_SHARDS]) *)
 }
 
 val spec :
@@ -76,8 +75,12 @@ val spec :
   unit ->
   spec
 (** Defaults: workload A, 10_000 records, 40_000 ops, zipfian 0.99,
-    scan_max 16, Smp 16 processors clustered 4, seed 42, progs on,
-    shards from the environment. *)
+    scan_max 16, Smp 16 processors clustered 4, seed 42, progs on.
+
+    [shards] is kept only so the benchmark under [perfbench/] compiles
+    unchanged: it accepts [1] (every run executes on the calling domain)
+    and raises [Invalid_argument] on any other value. The next change to
+    the benchmark drops it. *)
 
 type class_stats = {
   cls : op_class;
@@ -91,13 +94,14 @@ type result = {
   nbuckets : int;
   bcap : int;
   compiled : bool;  (** the access-program path was used *)
-  shards_used : int;
   parallel_cycles : int;
   remote_msgs : int;
   local_msgs : int;  (** excluding downgrades *)
   downgrade_msgs : int;
   dropped_inserts : int;  (** full-bucket inserts (deterministic) *)
-  classes : class_stats list;  (** classes with activity, in order *)
+  classes : class_stats list;
+      (** classes with activity, in order; an [Other] entry carries the
+          unattributed messages (its [count] is 0) *)
   oracle_ok : bool;
   oracle : string;
 }
@@ -110,15 +114,17 @@ val run : spec -> result
 
 val render : result -> string
 (** The per-op-class table (count, p50/p99/p999 latency cycles,
-    messages/op) plus totals — virtual-time quantities only, so the
-    output is bit-identical across shard counts and host runs. *)
+    messages/op) plus totals, with [Other]'s messages as
+    [unattributed_msgs] — virtual-time quantities only, so the output is
+    bit-identical across host runs. *)
 
 val totals :
-  unit -> (int * (op_class * int * Histogram.t * int) list) option
-(** [(runs, per-class (ops, merged latency, msgs))] aggregated over
-    every {!run} in this process; [None] before the first. Guarded for
-    concurrent runs. *)
+  unit -> (int * (op_class * int * Histogram.t * int) list * int) option
+(** [(runs, per-op-class (ops, merged latency, msgs), unattributed_msgs)]
+    aggregated over every {!run} in this process; [None] before the
+    first. The class list leaves out [Other], whose messages are the
+    third component. Guarded for concurrent runs. *)
 
 val totals_json : unit -> string option
-(** The aggregate as a JSON object (per class: ops, p50/p99/p999,
-    msgs_per_op) for [bench --json]. *)
+(** The aggregate as a JSON object (per op class: ops, p50/p99/p999,
+    msgs_per_op; plus [unattributed_msgs]) for [bench --json]. *)

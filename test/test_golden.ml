@@ -32,7 +32,7 @@ let configs = [ (Config.Base, 4, 1); (Config.Smp, 8, 4) ]
 
 let variant_name = function Config.Base -> "base" | Config.Smp -> "smp"
 
-let run_one ?run_ahead ?shards app ~variant ~nprocs ~clustering =
+let run_one ?run_ahead app ~variant ~nprocs ~clustering =
   let maker = Registry.find app in
   let inst = maker ~scale () in
   let heap = max (1 lsl 22) inst.App.heap_bytes in
@@ -40,7 +40,7 @@ let run_one ?run_ahead ?shards app ~variant ~nprocs ~clustering =
   let cfg = Config.create ~variant ~nprocs ~clustering ~heap_bytes:heap () in
   let h = Dsm.create cfg in
   let body, verify = inst.App.setup h in
-  Dsm.run ?run_ahead ?shards h body;
+  Dsm.run ?run_ahead h body;
   let v = verify h in
   if not v.App.ok then
     Alcotest.failf "%s failed verification: %s" app v.App.detail;
@@ -95,15 +95,27 @@ let test_run_ahead_equivalent () =
     (summary ~run_ahead:false ())
     (summary ~run_ahead:true ())
 
-let test_sharded_equivalent () =
-  (* The conservative-PDES scheduler must reproduce the sequential
-     summary line exactly — finish clocks, per-proc cycles and all
-     machine counters. One app here (the full matrix sharded is costly
-     on a single-core host); CI additionally diffs the whole fig3
-     experiment at --shards 1 vs 2. *)
-  check_lines "sharded scheduler agrees with sequential"
-    [ run_one "lu" ~variant:Config.Base ~nprocs:4 ~clustering:1 ]
-    [ run_one ~shards:2 "lu" ~variant:Config.Base ~nprocs:4 ~clustering:1 ]
+(* One scheduler core: every processor body of a run executes on the
+   domain that called [Dsm.run]. Run-level parallelism ([--jobs]) is the
+   only kind; nothing inside a run may hop domains. The bodies record
+   their domain and the check happens after the run, on the caller. *)
+let test_single_domain () =
+  let nprocs = 16 in
+  let cfg = Config.create ~variant:Config.Smp ~nprocs ~clustering:4 () in
+  let h = Dsm.create cfg in
+  let cells = Dsm.alloc_floats h nprocs in
+  let bar = Dsm.alloc_barrier h in
+  let caller = (Domain.self () :> int) in
+  let ran_on = Array.make nprocs (-1) in
+  Dsm.run h (fun ctx ->
+      let p = Dsm.pid ctx in
+      Dsm.store_float ctx (cells + (8 * p)) (float_of_int p);
+      Dsm.barrier ctx bar;
+      ignore (Dsm.load_float ctx (cells + (8 * ((p + 5) mod nprocs))));
+      ran_on.(p) <- (Domain.self () :> int));
+  Alcotest.(check (array int))
+    "every body ran on the caller's domain"
+    (Array.make nprocs caller) ran_on
 
 let () =
   match Sys.getenv_opt "SHASTA_GOLDEN_WRITE" with
@@ -123,7 +135,6 @@ let () =
             Alcotest.test_case "snapshot" `Quick test_matches_snapshot;
             Alcotest.test_case "run-ahead equivalent" `Quick
               test_run_ahead_equivalent;
-            Alcotest.test_case "sharded equivalent" `Quick
-              test_sharded_equivalent;
+            Alcotest.test_case "single domain" `Quick test_single_domain;
           ] );
       ]

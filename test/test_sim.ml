@@ -86,123 +86,6 @@ let test_ties_by_pid () =
   Alcotest.(check (list int)) "pid order at equal times" [ 0; 1; 2; 0; 1; 2 ]
     (List.rev !log)
 
-let test_horizon_finish_tail () =
-  (* Sequential view: bound = max_int. The +1 sharpening applies only
-     when no contributor wins the (clock, pid) tie-break. *)
-  Alcotest.(check (pair int int))
-    "no tie winner: horizon sharpens to h+1" (100, 101)
-    (Engine.horizon_finish ~h:100 ~tie_lower:false ~bound:max_int);
-  Alcotest.(check (pair int int))
-    "tie winner: horizon stays at h" (100, 100)
-    (Engine.horizon_finish ~h:100 ~tie_lower:true ~bound:max_int);
-  Alcotest.(check (pair int int))
-    "no contributors at all" (max_int, max_int)
-    (Engine.horizon_finish ~h:max_int ~tie_lower:false ~bound:max_int);
-  (* Sharded caps: the bound wins when at-or-below h — no sharpening at
-     the bound, a cross-shard message may arrive exactly there. *)
-  Alcotest.(check (pair int int))
-    "bound below h caps both" (60, 60)
-    (Engine.horizon_finish ~h:100 ~tie_lower:false ~bound:60);
-  Alcotest.(check (pair int int))
-    "bound exactly at h: no +1 past it" (100, 100)
-    (Engine.horizon_finish ~h:100 ~tie_lower:false ~bound:100);
-  Alcotest.(check (pair int int))
-    "bound above h leaves the sequential result" (100, 101)
-    (Engine.horizon_finish ~h:100 ~tie_lower:false ~bound:102);
-  Alcotest.(check (pair int int))
-    "sharpened horizon still clipped to the bound" (100, 101)
-    (Engine.horizon_finish ~h:100 ~tie_lower:false ~bound:101)
-
-(* The sharded scheduler summarizes remote shards by a single bound:
-   (minimum published clock of the shard) + (minimum cross-pair
-   lookahead). When every cross-shard pair shares one lookahead L, that
-   bound equals the sequential formula's minimum over the remote
-   processors of clock + L, so the boundary horizon must be EQUAL to
-   the sequential min over arrival hint + full lookahead matrix — not
-   merely conservatively below it. *)
-let prop_shard_boundary_horizon =
-  QCheck.Test.make ~name:"sharded boundary horizon equals sequential min"
-    ~count:200
-    QCheck.(
-      triple
-        (list_of_size (Gen.return 5) (int_range 0 1000)) (* peer clocks *)
-        (int_range 1 50) (* cross lookahead L *)
-        (option (int_range 0 1200)) (* arrival hint *))
-    (fun (clocks, cross_la, hint_opt) ->
-      (* Proc 0 (shard 0) resumes; procs 1,2 share its shard (local
-         lookahead 0), procs 3,4,5 form shard 1. *)
-      let clocks = Array.of_list clocks in
-      let hint = match hint_opt with Some h -> h | None -> max_int in
-      let la q = if q >= 3 then cross_la else 0 in
-      (* Sequential accumulation over all peers (engine's rule). *)
-      let h = ref hint and tie = ref false in
-      for q = 1 to 5 do
-        let b = clocks.(q - 1) + la q in
-        if b < !h then begin
-          h := b;
-          tie := la q > 0 || q < 0
-        end
-        else if b = !h then tie := !tie || la q > 0 || q < 0
-      done;
-      let seq = Engine.horizon_finish ~h:!h ~tie_lower:!tie ~bound:max_int in
-      (* Sharded: local peers accumulated, remote shard as the bound. *)
-      let hl = ref hint and tiel = ref false in
-      for q = 1 to 2 do
-        let b = clocks.(q - 1) + 0 in
-        if b < !hl then begin
-          hl := b;
-          tiel := false
-        end
-      done;
-      let bound = min (min clocks.(2) clocks.(3)) clocks.(4) + cross_la in
-      let sh = Engine.horizon_finish ~h:!hl ~tie_lower:!tiel ~bound in
-      sh = seq)
-
-let test_run_sharded_matches_run () =
-  (* Compute-only bodies: the sharded engine must produce the identical
-     finish clocks with processors split across two domains. Lookahead:
-     0 inside a shard, 5 across. *)
-  let nprocs = 4 in
-  let lookahead =
-    Array.init (nprocs * nprocs) (fun k ->
-        let p = k / nprocs and q = k mod nprocs in
-        if p / 2 = q / 2 then 0 else 5)
-  in
-  let body p =
-    for i = 1 to 3 do
-      Engine.advance p ((Engine.pid p * 7) + (i * 3))
-    done
-  in
-  let seq = Engine.run ~nprocs ~lookahead body in
-  let shd, stats =
-    Engine.run_sharded ~nprocs ~shards:2
-      ~shard_of:(fun i -> i / 2)
-      ~lookahead
-      ~drain:(fun _ -> 0)
-      ~cross_sent:(fun () -> 0)
-      ~quiet:(fun _ -> true)
-      ~on_quiesced:ignore body
-  in
-  Alcotest.(check (array int))
-    "finish clocks identical" seq.Engine.finish shd.Engine.finish;
-  Alcotest.(check bool) "every shard resumed processors" true
-    (Array.for_all (fun s -> s > 0) stats.Engine.shard_steps)
-
-let test_run_sharded_cross_lookahead_guard () =
-  Alcotest.check_raises "zero cross lookahead rejected"
-    (Invalid_argument
-       "Engine.run_sharded: cross-shard lookahead must be >= 1 (shard by \
-        coherence node)") (fun () ->
-      ignore
-        (Engine.run_sharded ~nprocs:2 ~shards:2
-           ~shard_of:(fun i -> i)
-           ~lookahead:(Array.make 4 0)
-           ~drain:(fun _ -> 0)
-           ~cross_sent:(fun () -> 0)
-           ~quiet:(fun _ -> true)
-           ~on_quiesced:ignore
-           (fun p -> Engine.advance p 1)))
-
 let prop_finish_equals_sum =
   QCheck.Test.make ~name:"finish time equals sum of advances" ~count:50
     QCheck.(list_of_size (Gen.int_range 1 20) (int_range 0 1000))
@@ -225,15 +108,5 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
           Alcotest.test_case "tie-break by pid" `Quick test_ties_by_pid;
           QCheck_alcotest.to_alcotest prop_finish_equals_sum;
-        ] );
-      ( "sharded",
-        [
-          Alcotest.test_case "horizon_finish tail" `Quick
-            test_horizon_finish_tail;
-          QCheck_alcotest.to_alcotest prop_shard_boundary_horizon;
-          Alcotest.test_case "run_sharded matches run" `Quick
-            test_run_sharded_matches_run;
-          Alcotest.test_case "cross lookahead guard" `Quick
-            test_run_sharded_cross_lookahead_guard;
         ] );
     ]
