@@ -14,28 +14,18 @@ module Stats = Shasta_core.Stats
 module App = Shasta_apps.App
 module Registry = Shasta_apps.Registry
 
-let run_app app_name nprocs protocol clustering vg scale seed smp_sync share_dir verbose =
+let run_app app_name nprocs variant clustering vg scale seed smp_sync share_dir verbose =
   match Registry.find app_name with
   | exception Not_found ->
     Printf.eprintf "unknown application %S; try: %s\n" app_name
       (String.concat " " Registry.names);
     1
   | maker ->
-    let variant =
-      match protocol with
-      | "base" -> Config.Base
-      | "smp" -> Config.Smp
-      | other ->
-        Printf.eprintf "unknown protocol %S (base|smp)\n" other;
-        exit 2
-    in
     let clustering = if variant = Config.Base then 1 else clustering in
     let inst = maker ~vg ~scale () in
-    let heap = max (1 lsl 22) inst.App.heap_bytes in
-    let heap = (heap + 4095) / 4096 * 4096 in
     let cfg =
-      Config.create ~variant ~nprocs ~clustering ~heap_bytes:heap ~seed
-        ~smp_sync ~share_directory:share_dir ()
+      Config.create ~variant ~nprocs ~clustering ~heap_bytes:(App.heap inst)
+        ~seed ~smp_sync ~share_directory:share_dir ()
     in
     let h = Dsm.create cfg in
     let body, verify = inst.App.setup h in
@@ -71,11 +61,11 @@ let run_app app_name nprocs protocol clustering vg scale seed smp_sync share_dir
     end;
     if verdict.App.ok then 0 else 1
 
-(* Regenerate paper tables/figures: prefetch the union of the selected
-   targets' specs through the domain pool, then render each target
-   sequentially from the warm cache. Output is byte-identical for any
-   job count; only wall-clock changes. *)
-let report_targets target_names quick jobs =
+(* Regenerate paper tables/figures one target at a time: warm its specs
+   through the domain pool, render it from the warm cache, time both.
+   Stdout carries only the rendered tables, byte-identical for any job
+   count; progress, timing and the target's fold rows go to stderr. *)
+let report_targets target_names quick jobs json =
   let module Targets = Shasta_experiments.Targets in
   let scale = if quick then 0.5 else 1.0 in
   let jobs =
@@ -100,69 +90,28 @@ let report_targets target_names quick jobs =
       (String.concat " " Targets.names);
     1
   | selected, [] ->
-    let t0 = Unix.gettimeofday () in
-    Targets.prefetch ~jobs ~scale selected;
-    List.iter (fun t -> print_string (t.Targets.render ~scale)) selected;
-    Printf.eprintf "[%d target(s) in %.1fs host time, %d jobs]\n%!"
-      (List.length selected)
-      (Unix.gettimeofday () -. t0)
-      jobs;
-    (* Inline-check fast-path observability, per application over every
-       cached run: how many checks the fused first-level hit check
-       resolved without protocol dispatch, and how many accesses were
-       issued by compiled access programs. Stderr, like all progress
-       output — stdout stays byte-identical across toggles. *)
-    (match Shasta_experiments.Runner.fastpath_by_app () with
-    | [] -> ()
-    | rows ->
-      Printf.eprintf "[fastpath %s: per-app fused-hit rate / prog coverage]\n"
-        (if Shasta_core.Config.env_fastpath () then "on" else "off");
-      List.iter
-        (fun (app, (checks, fast_hits, accesses, prog_accesses)) ->
-          let rate den num =
-            if den = 0 then 0.0 else float_of_int num /. float_of_int den
-          in
-          Printf.eprintf "[  %-10s hit %.3f (%d/%d)  prog %.3f (%d/%d)]\n" app
-            (rate checks fast_hits) fast_hits checks
-            (rate accesses prog_accesses) prog_accesses accesses)
-        rows;
-      Printf.eprintf "%!");
-    (* Tail-latency observability, stderr like the fast-path rows: the
-       miss-latency / downgrade-RTT percentiles of traced runs
-       (SHASTA_TRACE=1), and the per-op-class aggregate of any YCSB
-       runs in the selected targets. *)
-    (let module Runner = Shasta_experiments.Runner in
-     let module Metrics = Shasta_trace.Metrics in
-     let module H = Shasta_util.Histogram in
-     if Runner.traced_runs () > 0 then begin
-       let mx = Runner.metrics_snapshot () in
-       let line label h =
-         Printf.eprintf "[  %-14s n=%d p50=%d p99=%d p999=%d max=%d]\n" label
-           (H.total h) (H.percentile h 0.5) (H.percentile h 0.99)
-           (H.percentile h 0.999) (H.percentile h 1.0)
-       in
-       Printf.eprintf "[metrics over %d traced run(s), cycles:]\n"
-         (Runner.traced_runs ());
-       line "miss_latency" (Metrics.miss_latency mx);
-       line "downgrade_rtt" (Metrics.downgrade_rtt mx);
-       Printf.eprintf "%!"
-     end);
-    (let module Ycsb = Shasta_workload.Ycsb in
-     let module H = Shasta_util.Histogram in
-     match Ycsb.totals () with
-     | None -> ()
-     | Some (runs, classes, unattributed) ->
-       Printf.eprintf "[ycsb aggregate over %d run(s), latency cycles:]\n"
-         runs;
-       List.iter
-         (fun (cls, ops, lat, msgs) ->
-           Printf.eprintf
-             "[  %-7s ops=%-8d p50=%-6d p99=%-6d p999=%-6d msgs/op=%.2f]\n"
-             (Ycsb.class_name cls) ops (H.percentile lat 0.5)
-             (H.percentile lat 0.99) (H.percentile lat 0.999)
-             (float_of_int msgs /. float_of_int (max 1 ops)))
-         classes;
-       Printf.eprintf "[  unattributed_msgs %d]\n%!" unattributed);
+    Printf.eprintf "[report: %d jobs, %d host cores]\n%!" jobs
+      (Domain.recommended_domain_count ());
+    List.iter
+      (fun (t : Targets.t) ->
+        let t0 = Unix.gettimeofday () in
+        let executed =
+          Shasta_experiments.Runner.run_batch ~jobs (t.specs ~scale)
+        in
+        let out = t.render ~scale in
+        let wall = Unix.gettimeofday () -. t0 in
+        print_string out.Targets.text;
+        flush stdout;
+        Printf.eprintf "[%s completed in %.1fs host time; %d runs executed]\n%s%!"
+          t.name wall executed
+          (Targets.notes t ~scale out);
+        if json then begin
+          let file = Printf.sprintf "BENCH_%s.json" t.name in
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (Targets.json t ~scale ~wall ~jobs out));
+          Printf.eprintf "[wrote %s]\n%!" file
+        end)
+      selected;
     0
 
 (* YCSB traffic generator: stream a keyed op mix (read/update/rmw/
@@ -170,7 +119,7 @@ let report_targets target_names quick jobs =
    p50/p99/p999 latency and messages/op. Stdout carries only
    virtual-time quantities, so it is bit-identical across host runs;
    host wall time goes to stderr. *)
-let run_ycsb workload records ops dist theta scan_max nprocs protocol
+let run_ycsb workload records ops dist theta scan_max nprocs variant
     clustering seed no_progs =
   let module Sampler = Shasta_workload.Sampler in
   let module Ycsb = Shasta_workload.Ycsb in
@@ -179,14 +128,6 @@ let run_ycsb workload records ops dist theta scan_max nprocs protocol
     Printf.eprintf "unknown workload %S (a|b|c|d|e|f)\n" workload;
     2
   | Some mix -> (
-    let variant =
-      match protocol with
-      | "base" -> Config.Base
-      | "smp" -> Config.Smp
-      | other ->
-        Printf.eprintf "unknown protocol %S (base|smp)\n" other;
-        exit 2
-    in
     let clustering = if variant = Config.Base then 1 else clustering in
     match Sampler.dist_of_string dist with
     | None ->
@@ -210,21 +151,11 @@ let run_ycsb workload records ops dist theta scan_max nprocs protocol
    built-in downgrade-race scenarios, and/or a workload run under the
    online invariant sanitizer and the happens-before race detector. *)
 let run_check litmus sanitize races budget max_runs fault app_name nprocs
-    protocol clustering scale seed =
+    variant clustering scale seed =
   let module Sanitizer = Shasta_check.Sanitizer in
   let module Races = Shasta_check.Races in
   let module Litmus = Shasta_check.Litmus in
   let module Inspect = Shasta_core.Inspect in
-  let fault =
-    match fault with
-    | None -> None
-    | Some "skip-private-downgrade" -> Some Config.Skip_private_downgrade
-    | Some "skip-flag-stamp" -> Some Config.Skip_flag_stamp
-    | Some other ->
-      Printf.eprintf
-        "unknown fault %S (skip-private-downgrade|skip-flag-stamp)\n" other;
-      exit 2
-  in
   let rc = ref 0 in
   let do_litmus =
     litmus || (app_name = None && (not sanitize) && not races)
@@ -247,22 +178,11 @@ let run_check litmus sanitize races budget max_runs fault app_name nprocs
         (String.concat " " Registry.names);
       rc := 2
     | maker ->
-      let variant =
-        match protocol with
-        | "base" -> Config.Base
-        | "smp" -> Config.Smp
-        | other ->
-          Printf.eprintf "unknown protocol %S (base|smp)\n" other;
-          exit 2
-      in
       let clustering = if variant = Config.Base then 1 else clustering in
       let inst = maker ~vg:false ~scale () in
-      let heap = max (1 lsl 22) inst.App.heap_bytes in
-      let heap = (heap + 4095) / 4096 * 4096 in
       let cfg =
-        Config.create ~variant ~nprocs ~clustering ~heap_bytes:heap ~seed
-          ~sanitize:(if races then 2 else 1)
-          ?fault ()
+        Config.create ~variant ~nprocs ~clustering ~heap_bytes:(App.heap inst)
+          ~seed ~sanitize:(if races then 2 else 1) ?fault ()
       in
       let h = Dsm.create cfg in
       let m = Dsm.machine h in
@@ -318,7 +238,7 @@ let run_check litmus sanitize races budget max_runs fault app_name nprocs
    (--block gives the same per-block view, structured) and the
    debug_hang driver (a cycle-limit hang dumps machine state plus the
    freshest events). *)
-let run_trace app_name nprocs protocol clustering vg scale seed procs blocks
+let run_trace app_name nprocs variant clustering vg scale seed procs blocks
     kinds from_ upto limit capacity chrome_file stats no_dump =
   let module Recorder = Shasta_trace.Recorder in
   let module Event = Shasta_trace.Event in
@@ -330,14 +250,6 @@ let run_trace app_name nprocs protocol clustering vg scale seed procs blocks
       (String.concat " " Registry.names);
     1
   | maker ->
-    let variant =
-      match protocol with
-      | "base" -> Config.Base
-      | "smp" -> Config.Smp
-      | other ->
-        Printf.eprintf "unknown protocol %S (base|smp)\n" other;
-        exit 2
-    in
     let clustering = if variant = Config.Base then 1 else clustering in
     let blocks =
       List.map
@@ -350,11 +262,9 @@ let run_trace app_name nprocs protocol clustering vg scale seed procs blocks
         blocks
     in
     let inst = maker ~vg ~scale () in
-    let heap = max (1 lsl 22) inst.App.heap_bytes in
-    let heap = (heap + 4095) / 4096 * 4096 in
     let cfg =
-      Config.create ~variant ~nprocs ~clustering ~heap_bytes:heap ~seed
-        ~trace:1 ()
+      Config.create ~variant ~nprocs ~clustering ~heap_bytes:(App.heap inst)
+        ~seed ()
     in
     let h = Dsm.create cfg in
     let m = Dsm.machine h in
@@ -420,7 +330,10 @@ let nprocs_arg =
   Arg.(value & opt int 16 & info [ "p"; "procs" ] ~docv:"N" ~doc:"Number of simulated processors.")
 
 let protocol_arg =
-  Arg.(value & opt string "smp" & info [ "protocol" ] ~docv:"P" ~doc:"Protocol: base or smp.")
+  Arg.(
+    value
+    & opt (enum [ ("base", Config.Base); ("smp", Config.Smp) ]) Config.Smp
+    & info [ "protocol" ] ~docv:"P" ~doc:"Protocol: base or smp.")
 
 let clustering_arg =
   Arg.(value & opt int 4 & info [ "c"; "clustering" ] ~docv:"K" ~doc:"Processors per coherence node (smp only).")
@@ -455,10 +368,21 @@ let targets_arg =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"TARGET"
-        ~doc:"Tables/figures to regenerate (default: all). See $(b,bench/main.exe) for the list.")
+        ~doc:
+          ("Tables/figures to regenerate (default: all): "
+          ^ String.concat " " Shasta_experiments.Targets.names
+          ^ "."))
 
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduced problem scale (0.5).")
+
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Also write each target's record to $(b,BENCH_)$(i,TARGET)$(b,.json) \
+           in the current directory.")
 
 let jobs_arg =
   Arg.(
@@ -475,8 +399,7 @@ let report_cmd =
        ~doc:
          "Regenerate the paper's tables/figures, executing the independent \
           simulations concurrently on a domain pool")
-    Term.(
-      const report_targets $ targets_arg $ quick_arg $ jobs_arg)
+    Term.(const report_targets $ targets_arg $ quick_arg $ jobs_arg $ json_arg)
 
 let ycsb_workload_arg =
   Arg.(
@@ -566,9 +489,16 @@ let max_runs_arg =
     value & opt int 20_000
     & info [ "max-runs" ] ~docv:"N" ~doc:"Litmus: replay cap per scenario.")
 
+let fault_conv =
+  Arg.enum
+    [
+      ("skip-private-downgrade", Config.Skip_private_downgrade);
+      ("skip-flag-stamp", Config.Skip_flag_stamp);
+    ]
+
 let fault_arg =
   Arg.(
-    value & opt (some string) None
+    value & opt (some fault_conv) None
     & info [ "fault" ] ~docv:"F"
         ~doc:
           "Inject a protocol fault (skip-private-downgrade|skip-flag-stamp) — \
@@ -654,16 +584,6 @@ let crash_cmd =
 let run_verify reach progs locks dead fault bound seeds =
   let module Verify = Shasta_verify in
   let module Reach = Verify.Reach in
-  let fault =
-    match fault with
-    | None -> None
-    | Some "skip-private-downgrade" -> Some Config.Skip_private_downgrade
-    | Some "skip-flag-stamp" -> Some Config.Skip_flag_stamp
-    | Some other ->
-      Printf.eprintf
-        "unknown fault %S (skip-private-downgrade|skip-flag-stamp)\n" other;
-      exit 2
-  in
   (* No pass selected = every pass. *)
   let all = (not reach) && (not progs) && not locks in
   let reach = reach || all and progs = progs || all and locks = locks || all in
@@ -752,9 +672,7 @@ let run_verify reach progs locks dead fault bound seeds =
         let inst = maker () in
         let cfg =
           Config.create ~variant:Config.Smp ~nprocs:8 ~clustering:4
-            ~heap_bytes:
-              ((max (1 lsl 22) inst.App.heap_bytes + 4095) / 4096 * 4096)
-            ()
+            ~heap_bytes:(App.heap inst) ()
         in
         let h = Dsm.create cfg in
         let body, _verify = inst.App.setup h in
@@ -826,7 +744,7 @@ let seeds_arg =
 
 let verify_fault_arg =
   Arg.(
-    value & opt (some string) None
+    value & opt (some fault_conv) None
     & info [ "fault" ] ~docv:"F"
         ~doc:
           "With $(b,--reach): explore with the protocol fault \

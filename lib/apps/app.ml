@@ -11,6 +11,8 @@ type instance = {
 
 type maker = ?vg:bool -> ?scale:float -> unit -> instance
 
+let heap inst = (max (1 lsl 22) inst.heap_bytes + 4095) / 4096 * 4096
+
 let scaled s n = max 1 (int_of_float (Float.round (s *. float_of_int n)))
 let pass ~detail = { ok = true; detail }
 let fail ~detail = { ok = false; detail }

@@ -27,6 +27,10 @@ type instance = {
 type maker = ?vg:bool -> ?scale:float -> unit -> instance
 (** Every application module provides [instance : maker]. *)
 
+val heap : instance -> int
+(** The shared heap to configure a machine with for [inst]: its
+    [heap_bytes], at least 4 MiB, rounded up to a 4 KiB page. *)
+
 val scaled : float -> int -> int
 (** [scaled s n] is [n] scaled by [s], at least 1. *)
 

@@ -3,18 +3,12 @@ type fault = Skip_private_downgrade | Skip_flag_stamp
 
 (* SHASTA_SANITIZE is read once per [create] so the toggle works on any
    harness that builds its configs after the environment is set (the
-   bench harness, the experiment runner, the CLI). *)
+   experiment runner, the CLI). *)
 let env_sanitize () =
   match Sys.getenv_opt "SHASTA_SANITIZE" with
   | None | Some "" | Some "0" -> 0
   | Some "1" -> 1
   | Some s -> ( match int_of_string_opt s with Some n when n > 1 -> 2 | _ -> 1)
-
-(* SHASTA_TRACE follows the same once-per-[create] discipline. *)
-let env_trace () =
-  match Sys.getenv_opt "SHASTA_TRACE" with
-  | None | Some "" | Some "0" -> 0
-  | Some _ -> 1
 
 (* SHASTA_FASTPATH gates the fused inline-check fast path; it defaults
    to on and exists so CI can diff fast-path vs. reference runs
@@ -23,16 +17,6 @@ let env_fastpath () =
   match Sys.getenv_opt "SHASTA_FASTPATH" with
   | Some "0" -> false
   | None | Some _ -> true
-
-(* SHASTA_CKPT: checkpoint interval in simulated cycles, 0 (the default)
-   means checkpointing off. *)
-let env_ckpt () =
-  match Sys.getenv_opt "SHASTA_CKPT" with
-  | None | Some "" | Some "0" -> 0
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ -> invalid_arg "SHASTA_CKPT: expected 0|interval>=1")
 
 type t = {
   variant : variant;
@@ -49,9 +33,7 @@ type t = {
   smp_sync : bool;
   share_directory : bool;
   sanitize : int;
-  trace : int;
   fastpath : bool;
-  ckpt : int;
   fault : fault option;
 }
 
@@ -60,18 +42,16 @@ let create ?(variant = Base) ?(nprocs = 1) ?(procs_per_node = 4)
     ?(checks_enabled = true) ?(timing = Timing.default)
     ?(link = Shasta_net.Link.default) ?(max_cycles = 2_000_000_000)
     ?(seed = 42) ?(smp_sync = false) ?(share_directory = false)
-    ?sanitize ?trace ?shards ?fastpath ?ckpt ?fault () =
+    ?sanitize ?shards ?fastpath ?fault () =
   let sanitize =
     match sanitize with Some s -> max 0 s | None -> env_sanitize ()
   in
-  let trace = match trace with Some v -> max 0 v | None -> env_trace () in
   (match shards with
   | None | Some 1 -> ()
   | Some _ -> invalid_arg "Config.create: shards must be 1");
   let fastpath =
     match fastpath with Some b -> b | None -> env_fastpath ()
   in
-  let ckpt = match ckpt with Some n -> max 0 n | None -> env_ckpt () in
   if nprocs <= 0 then invalid_arg "Config.create: nprocs";
   if procs_per_node <= 0 then invalid_arg "Config.create: procs_per_node";
   if clustering <= 0 then invalid_arg "Config.create: clustering";
@@ -97,9 +77,7 @@ let create ?(variant = Base) ?(nprocs = 1) ?(procs_per_node = 4)
     smp_sync;
     share_directory;
     sanitize;
-    trace;
     fastpath;
-    ckpt;
     fault;
   }
 

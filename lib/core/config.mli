@@ -43,12 +43,6 @@ type t = private {
           enables the happens-before race detector where the harness
           supports it. Defaults to the [SHASTA_SANITIZE] environment
           variable. *)
-  trace : int;
-      (** event tracing/metrics level: 0 off; >= 1 asks harnesses (the
-          experiment runner, bench) to attach the {!Shasta_trace}
-          metrics observer. Like hooks in general it never charges
-          simulated cycles. Defaults to the [SHASTA_TRACE] environment
-          variable. *)
   fastpath : bool;
       (** enable the fused inline-check fast path (hit checks resolved
           against a single state-table byte, batched per-line checks in
@@ -57,13 +51,6 @@ type t = private {
           either way; off exists so CI can diff fast vs. reference.
           Defaults to the [SHASTA_FASTPATH] environment variable
           (default on; ["0"] disables). *)
-  ckpt : int;
-      (** checkpoint interval in simulated cycles: every node snapshots
-          its directory/state-table slices whenever the interval has
-          elapsed since its last snapshot, and logs sent messages in
-          between (piggybacked on the [on_send] observer hook — zero
-          simulated cycles). 0 (the default) disables checkpointing.
-          Defaults to the [SHASTA_CKPT] environment variable. *)
   fault : fault option;  (** test-only protocol fault injection *)
 }
 
@@ -82,10 +69,8 @@ val create :
   ?smp_sync:bool ->
   ?share_directory:bool ->
   ?sanitize:int ->
-  ?trace:int ->
   ?shards:int ->
   ?fastpath:bool ->
-  ?ckpt:int ->
   ?fault:fault ->
   unit ->
   t
@@ -102,14 +87,8 @@ val create :
 val env_fastpath : unit -> bool
 (** The [SHASTA_FASTPATH] environment variable: ["0"] means off,
     anything else (including unset) means on. The default for
-    {!create}'s [?fastpath]; exposed so harnesses (bench) can report the
-    requested value. *)
-
-val env_ckpt : unit -> int
-(** The [SHASTA_CKPT] environment variable parsed to a checkpoint
-    interval in cycles: absent, empty or ["0"] mean 0 (off); [N >= 1]
-    means snapshot every [N] cycles. Raises [Invalid_argument] on
-    anything else. The default for {!create}'s [?ckpt]. *)
+    {!create}'s [?fastpath]; exposed so [shasta_cli report] can record
+    the requested value. *)
 
 val nnodes : t -> int
 (** Number of coherence nodes (sharing domains). *)

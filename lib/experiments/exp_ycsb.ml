@@ -98,9 +98,10 @@ let render ~scale () =
        else Printf.sprintf "FAILED on %d" (List.length bad))
       dropped
   in
-  Report.section
-    "YCSB: per-op-class tail latency on the DSM-backed KV store"
-    (table ^ "\n" ^ oracle ^ "\n")
+  ( Report.section
+      "YCSB: per-op-class tail latency on the DSM-backed KV store"
+      (table ^ "\n" ^ oracle ^ "\n"),
+    results )
 
 (* The YCSB harness builds bespoke machines inline (its runs are not
    Registry apps), so there is nothing to prefetch. *)

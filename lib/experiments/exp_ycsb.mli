@@ -10,7 +10,9 @@
     are virtual-time, so the table is bit-identical across job counts
     and host runs. *)
 
-val render : scale:float -> unit -> string
+val render : scale:float -> unit -> string * Shasta_workload.Ycsb.result list
+(** The rendered sweep, and the results it rendered from (for
+    {!Shasta_workload.Ycsb.totals}). *)
 
 val specs : scale:float -> unit -> Runner.spec list
 (** Always [[]]: the harness builds bespoke machines inline and has no

@@ -64,6 +64,8 @@ type result = {
   remote_msgs : int;
   downgrade_msgs : int;
   verdict : App.verdict;
+  yields : int * int;
+  metrics : Shasta_trace.Metrics.t option;
 }
 
 (* The memo cache is read and filled from the coordinating domain and —
@@ -74,56 +76,32 @@ let cache : (spec, result) Hashtbl.t = Hashtbl.create 64
 let cache_mutex = Mutex.create ()
 let with_cache f = Mutex.protect cache_mutex f
 
-(* Cumulative parallel cycles over every run actually executed (cache
-   misses only), so callers can attribute simulated work to a span of
-   host time by differencing. Atomic: executions may happen on worker
-   domains. *)
-let executed_cycles = Atomic.make 0
-let simulated_cycles () = Atomic.get executed_cycles
+(* Harness knobs, read once per run. SHASTA_TRACE attaches the metrics
+   observer; SHASTA_CKPT=N (virtual cycles, N > 0) attaches the
+   checkpointing observer so experiment runs pay its logging overhead.
+   Both are observers: with the knobs off nothing is installed and
+   simulated time is bit-identical. *)
+let env_trace () =
+  match Sys.getenv_opt "SHASTA_TRACE" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
 
-(* Cumulative inline-check counters over executed runs, mirroring
-   [executed_cycles]: the bench JSON derives its fused-hit rate from a
-   difference across a target's span. *)
-let executed_checks = Atomic.make 0
-let executed_fast_hits = Atomic.make 0
-let fastpath_totals () =
-  (Atomic.get executed_checks, Atomic.get executed_fast_hits)
-
-(* Cumulative crash-fault counters over executed runs, same differencing
-   discipline: the bench JSON reports how many node crashes a target's
-   runs absorbed and the virtual cycles its recoveries charged. Both stay
-   zero unless a run schedules crash events. *)
-let executed_crashes = Atomic.make 0
-let executed_recovery_cycles = Atomic.make 0
-let crash_totals () =
-  (Atomic.get executed_crashes, Atomic.get executed_recovery_cycles)
-
-(* Global metrics aggregate over every traced run (SHASTA_TRACE=1).
-   Filled under [metrics_mutex] as worker domains complete; merging is
-   commutative, so the aggregate is independent of the jobs count and
-   completion order. *)
-let metrics_mutex = Mutex.create ()
-let metrics_agg = Shasta_trace.Metrics.create ()
-let metrics_runs = Atomic.make 0
-
-let traced_runs () = Atomic.get metrics_runs
-
-let metrics_snapshot () =
-  Mutex.protect metrics_mutex (fun () ->
-      let copy = Shasta_trace.Metrics.create () in
-      Shasta_trace.Metrics.merge_into ~into:copy metrics_agg;
-      copy)
+let env_ckpt () =
+  match Sys.getenv_opt "SHASTA_CKPT" with
+  | None | Some "" | Some "0" -> 0
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> n
+    | _ -> invalid_arg "SHASTA_CKPT: expected 0|interval>=1")
 
 let execute spec =
   let maker = Shasta_apps.Registry.find spec.app in
   let inst = maker ~vg:spec.vg ~scale:spec.scale () in
-  let heap = max (1 lsl 22) inst.App.heap_bytes in
-  (* Round up to a page multiple. *)
-  let heap = (heap + 4095) / 4096 * 4096 in
   let cfg =
     Config.create ~variant:spec.variant ~nprocs:spec.nprocs
-      ~clustering:spec.clustering ~checks_enabled:spec.checks ~heap_bytes:heap
-      ~smp_sync:spec.smp_sync ~share_directory:spec.share_directory ()
+      ~clustering:spec.clustering ~checks_enabled:spec.checks
+      ~heap_bytes:(App.heap inst) ~smp_sync:spec.smp_sync
+      ~share_directory:spec.share_directory ()
   in
   let h = Dsm.create cfg in
   (* SHASTA_SANITIZE=1 attaches the online invariant sanitizer (and =2
@@ -138,28 +116,15 @@ let execute spec =
     if cfg.Config.sanitize > 1 then Some (Shasta_check.Races.attach (Dsm.machine h))
     else None
   in
-  (* SHASTA_TRACE=1 attaches the metrics observer; per-run instances
-     merge into the global aggregate below. Cycle-neutral, like every
-     observer. *)
-  let mx =
-    if cfg.Config.trace > 0 then
-      Some (Shasta_trace.Metrics.attach (Dsm.machine h))
+  let metrics =
+    if env_trace () then Some (Shasta_trace.Metrics.attach (Dsm.machine h))
     else None
   in
-  (* SHASTA_CKPT=N (virtual cycles, N > 0) attaches the checkpointing
-     observer so experiment runs pay its logging overhead; with the knob
-     off no observer is installed and simulated time is bit-identical. *)
-  if cfg.Config.ckpt > 0 then
-    ignore (Shasta_recover.Checkpoint.attach (Dsm.machine h)
-              ~interval:cfg.Config.ckpt);
+  let ckpt = env_ckpt () in
+  if ckpt > 0 then
+    ignore (Shasta_recover.Checkpoint.attach (Dsm.machine h) ~interval:ckpt);
   let body, verify = inst.App.setup h in
   Dsm.run h body;
-  (match mx with
-  | Some mx ->
-    Atomic.incr metrics_runs;
-    Mutex.protect metrics_mutex (fun () ->
-        Shasta_trace.Metrics.merge_into ~into:metrics_agg mx)
-  | None -> ());
   (match san with
   | Some san when Shasta_check.Sanitizer.violation_count san > 0 ->
     failwith
@@ -183,17 +148,6 @@ let execute spec =
       (Printf.sprintf "experiment run failed verification: %s (%s)" spec.app
          verdict.App.detail);
   let downgrade_msgs = Dsm.downgrade_messages h in
-  ignore (Atomic.fetch_and_add executed_cycles (Dsm.parallel_cycles h));
-  (let agg = Dsm.aggregate_stats h in
-   ignore (Atomic.fetch_and_add executed_checks agg.Shasta_core.Stats.checks);
-   ignore
-     (Atomic.fetch_and_add executed_fast_hits
-        agg.Shasta_core.Stats.fast_hits));
-  (let m = Dsm.machine h in
-   ignore (Atomic.fetch_and_add executed_crashes m.Shasta_core.Machine.crashes);
-   ignore
-     (Atomic.fetch_and_add executed_recovery_cycles
-        m.Shasta_core.Machine.recovery_cycles));
   {
     spec;
     workload = inst.App.workload;
@@ -204,6 +158,8 @@ let execute spec =
     remote_msgs = Dsm.messages_remote h;
     downgrade_msgs;
     verdict;
+    yields = Dsm.sched_counts h;
+    metrics;
   }
 
 let run spec =
@@ -245,7 +201,8 @@ let run_batch ?jobs specs =
                Shasta_util.Pool.submit pool (fun () ->
                    let r = execute spec in
                    with_cache (fun () -> Hashtbl.replace cache spec r)))
-        |> List.iter Shasta_util.Pool.await)
+        |> List.iter Shasta_util.Pool.await);
+  List.length misses
 
 let seconds cycles = float_of_int cycles /. 3.0e8
 
@@ -256,22 +213,19 @@ let speedup spec =
 
 let cache_size () = with_cache (fun () -> Hashtbl.length cache)
 
-let fastpath_by_app () =
+let fastpath_by_app results =
   let tbl = Hashtbl.create 16 in
-  with_cache (fun () ->
-      Hashtbl.iter
-        (fun spec r ->
-          let st = r.stats in
-          let c, fh, a, pa =
-            match Hashtbl.find_opt tbl spec.app with
-            | Some t -> t
-            | None -> (0, 0, 0, 0)
-          in
-          Hashtbl.replace tbl spec.app
-            ( c + st.Shasta_core.Stats.checks,
-              fh + st.Shasta_core.Stats.fast_hits,
-              a + st.Shasta_core.Stats.accesses,
-              pa + st.Shasta_core.Stats.prog_accesses ))
-        cache);
+  List.iter
+    (fun r ->
+      let st = r.stats in
+      let c, fh, a, pa =
+        Option.value ~default:(0, 0, 0, 0) (Hashtbl.find_opt tbl r.spec.app)
+      in
+      Hashtbl.replace tbl r.spec.app
+        ( c + st.Stats.checks,
+          fh + st.Stats.fast_hits,
+          a + st.Stats.accesses,
+          pa + st.Stats.prog_accesses ))
+    results;
   Hashtbl.fold (fun app t acc -> (app, t) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -37,22 +37,31 @@ type result = {
   remote_msgs : int;
   downgrade_msgs : int;
   verdict : Shasta_apps.App.verdict;
+  yields : int * int;
+      (** (performed, elided) scheduler yields, {!Shasta_core.Dsm.sched_counts} *)
+  metrics : Shasta_trace.Metrics.t option;
+      (** the run's metrics observer, when [SHASTA_TRACE] was set *)
 }
 
 val run : spec -> result
 (** Execute (or fetch from the cache). Raises [Failure] if the
     application's result verification fails — every experiment run is
-    also a correctness check. *)
+    also a correctness check. Two environment variables attach
+    cycle-neutral observers: [SHASTA_TRACE] (anything but empty or
+    ["0"]) the metrics observer, kept in [metrics]; [SHASTA_CKPT=N]
+    ([N >= 1] cycles) the checkpointer. A malformed [SHASTA_CKPT]
+    raises [Invalid_argument]. *)
 
-val run_batch : ?jobs:int -> spec list -> unit
+val run_batch : ?jobs:int -> spec list -> int
 (** Warm the cache for a list of specs: dedupe the list against itself
     and against the cache, execute the misses concurrently on a
     {!Shasta_util.Pool} of [jobs] domains ([Pool.default_jobs ()] when
     omitted — the [SHASTA_JOBS] environment variable or the machine's
-    core count), and publish the results. [jobs = 1] executes in place,
-    with no domains spawned. Every individual simulation is
-    deterministic and self-contained, so subsequent {!run} calls — and
-    tables rendered from them — are byte-identical whatever [jobs] was.
+    core count), publish the results, and return how many specs were
+    executed. [jobs = 1] executes in place, with no domains spawned.
+    Every individual simulation is deterministic and self-contained, so
+    subsequent {!run} calls — and tables rendered from them — are
+    byte-identical whatever [jobs] was.
     A failed run re-raises after the whole batch has finished; completed
     results of the batch are still cached. Must be called from the
     coordinating (main) domain, never from inside another batch. *)
@@ -66,34 +75,8 @@ val speedup : spec -> float
 
 val cache_size : unit -> int
 
-val simulated_cycles : unit -> int
-(** Cumulative [parallel_cycles] over all runs actually executed so far
-    (cache hits contribute nothing). Difference across a span to
-    attribute simulated work to it. *)
-
-val fastpath_totals : unit -> int * int
-(** [(checks, fast_hits)] summed over all runs actually executed so far
-    (cache hits contribute nothing). Difference across a span for the
-    bench JSON's [hit_fastpath_rate]. *)
-
-val crash_totals : unit -> int * int
-(** [(crashes, recovery_cycles)] summed over all runs actually executed
-    so far (cache hits contribute nothing): node crashes absorbed and
-    the virtual cycles their recoveries charged. Difference across a
-    span for the bench JSON's [crashes] / [recovery_cycles] fields —
-    both zero unless a run scheduled crash events. *)
-
-val fastpath_by_app : unit -> (string * (int * int * int * int)) list
+val fastpath_by_app : result list -> (string * (int * int * int * int)) list
 (** [(app, (checks, fast_hits, accesses, prog_accesses))] summed over
-    the cached results of each application, sorted by name — the
-    per-app fused-hit rate and access-program coverage the CLI's
-    [report] prints to stderr. *)
-
-val traced_runs : unit -> int
-(** Runs executed with the metrics observer attached
-    ([Config.trace > 0], i.e. [SHASTA_TRACE=1]). *)
-
-val metrics_snapshot : unit -> Shasta_trace.Metrics.t
-(** A copy of the global metrics aggregate over every traced run so far
-    (empty when tracing was never on). Aggregation is commutative, so
-    the snapshot is independent of the [run_batch] jobs count. *)
+    [results] per application, sorted by name — the per-app fused-hit
+    rate and access-program coverage the CLI's [report] prints to
+    stderr. *)

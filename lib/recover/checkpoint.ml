@@ -13,8 +13,9 @@ module Directory = Shasta_core.Directory
    tables, and flattened directory entries — plus a log of every message
    sent since the snapshot. The snapshot piggybacks on the Observer
    [on_send] hook: it runs between scheduling points, charges no
-   simulated cycles, and with [Config.ckpt = 0] no observer is installed
-   at all, so simulated time is bit-identical with checkpointing off.
+   simulated cycles, and with checkpointing off ([SHASTA_CKPT] unset or
+   0) no observer is installed at all, so simulated time is
+   bit-identical.
 
    Recovery uses a checkpoint in two ways: the data bytes of a block
    whose last copy died are restored from the snapshot copy of its

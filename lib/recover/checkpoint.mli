@@ -24,8 +24,9 @@ type t
 val attach : Shasta_core.Machine.t -> interval:int -> t
 (** Install the checkpointing observer; the machine's initial state is
     taken as the first snapshot. [interval] is in virtual cycles and
-    must be positive ([Config.ckpt] holds the configured value; 0 means
-    checkpointing is off and [attach] must not be called). *)
+    must be positive (the experiment runner attaches one when
+    [SHASTA_CKPT] is a positive interval; 0 means checkpointing is off
+    and [attach] must not be called). *)
 
 val snapshot : ?now:int -> Shasta_core.Machine.t -> snap
 (** One consistent snapshot of the machine, independent of any attached

@@ -63,12 +63,6 @@ let advance_local p c =
    conservative under-estimate of the horizon preserves the simulation
    exactly; only an over-estimate could reorder visible events. *)
 
-(* Process-wide aggregates over completed runs, updated once per run
-   (atomically, because runs may execute on worker domains). *)
-let total_performed = Atomic.make 0
-let total_elided = Atomic.make 0
-let yield_counts () = (Atomic.get total_performed, Atomic.get total_elided)
-
 (* Besides the horizon rule, a yield is elided when the clock has not
    advanced since the scheduler resumed this processor: popping [p] froze
    every peer's clock and status, a running processor never enqueues a
@@ -259,12 +253,8 @@ let event_pump tasks events =
     in
     go ()
 
-(* The run's outcome, after folding its yield counters into the
-   process-wide totals. *)
 let outcome tasks =
   let c = tasks.(0).p_counters in
-  ignore (Atomic.fetch_and_add total_performed c.performed);
-  ignore (Atomic.fetch_and_add total_elided c.elided);
   {
     finish = Array.map (fun p -> p.p_now) tasks;
     yields_performed = c.performed;

@@ -152,9 +152,3 @@ val idle_skip : proc -> quantum:int -> int
     a no-op: strictly below the horizon the message probe is empty and
     no observable state can have changed, so the collapsed wait is
     bit-identical to stepping in virtual time. *)
-
-val yield_counts : unit -> int * int
-(** (performed, elided) yield-effect counters aggregated over every
-    {e completed} run in this process, on any domain (maintained with
-    [Atomic]) — observability for benchmarks and tests. Per-run values
-    are in {!outcome}. *)

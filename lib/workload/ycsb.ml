@@ -123,47 +123,33 @@ type result = {
   oracle : string;
 }
 
-(* Process-wide aggregate over every run, for [bench --json] and the
-   CLI report. Guarded: experiment targets may run on worker domains. *)
-let totals_mutex = Mutex.create ()
-let totals_runs = ref 0
-let totals_ops = Array.make nclasses 0
-let totals_msgs = Array.make nclasses 0
-let totals_lat = Array.init nclasses (fun _ -> Histogram.create ())
-
-let record_totals classes =
-  Mutex.protect totals_mutex (fun () ->
-      incr totals_runs;
-      List.iter
-        (fun c ->
-          let i = ci c.cls in
-          totals_ops.(i) <- totals_ops.(i) + c.count;
-          totals_msgs.(i) <- totals_msgs.(i) + c.msgs;
-          totals_lat.(i) <- Histogram.merge totals_lat.(i) c.latency)
-        classes)
-
-let totals () =
-  Mutex.protect totals_mutex (fun () ->
-      if !totals_runs = 0 then None
+(* The per-op-class aggregate over [results], merged in list order. *)
+let totals = function
+  | [] -> None
+  | results ->
+    let classes = List.concat_map (fun r -> r.classes) results in
+    let of_cls cls = List.filter (fun c -> c.cls = cls) classes in
+    let sum f cs = List.fold_left (fun a c -> a + f c) 0 cs in
+    let agg cls =
+      let cs = of_cls cls in
+      let ops = sum (fun c -> c.count) cs and msgs = sum (fun c -> c.msgs) cs in
+      if cls = Other || (ops = 0 && msgs = 0) then None
       else
         Some
-          ( !totals_runs,
-            List.filter_map
-              (fun cls ->
-                let i = ci cls in
-                if cls = Other || (totals_ops.(i) = 0 && totals_msgs.(i) = 0)
-                then None
-                else
-                  Some
-                    ( cls,
-                      totals_ops.(i),
-                      Histogram.merge totals_lat.(i) (Histogram.create ()),
-                      totals_msgs.(i) ))
-              class_order,
-            totals_msgs.(ci Other) ))
+          ( cls,
+            ops,
+            List.fold_left
+              (fun h c -> Histogram.merge h c.latency)
+              (Histogram.create ()) cs,
+            msgs )
+    in
+    Some
+      ( List.length results,
+        List.filter_map agg class_order,
+        sum (fun c -> c.msgs) (of_cls Other) )
 
-let totals_json () =
-  match totals () with
+let totals_json results =
+  match totals results with
   | None -> None
   | Some (runs, classes, unattributed) ->
     let cls_json (cls, ops, lat, msgs) =
@@ -486,7 +472,6 @@ let run spec =
             })
       class_order
   in
-  record_totals classes;
   let downgrade_msgs = Dsm.downgrade_messages h in
   {
     spec;

@@ -119,12 +119,12 @@ val render : result -> string
     bit-identical across host runs. *)
 
 val totals :
-  unit -> (int * (op_class * int * Histogram.t * int) list * int) option
+  result list -> (int * (op_class * int * Histogram.t * int) list * int) option
 (** [(runs, per-op-class (ops, merged latency, msgs), unattributed_msgs)]
-    aggregated over every {!run} in this process; [None] before the
-    first. The class list leaves out [Other], whose messages are the
-    third component. Guarded for concurrent runs. *)
+    aggregated over [results]; [None] for [[]]. The class list leaves
+    out [Other], whose messages are the third component. *)
 
-val totals_json : unit -> string option
-(** The aggregate as a JSON object (per op class: ops, p50/p99/p999,
-    msgs_per_op; plus [unattributed_msgs]) for [bench --json]. *)
+val totals_json : result list -> string option
+(** {!totals} as a JSON object (per op class: ops, p50/p99/p999,
+    msgs_per_op; plus [unattributed_msgs]), the [ycsb] member of
+    [shasta_cli report --json]. *)

@@ -51,18 +51,10 @@ let test_run_batch_once_semantics () =
   (* Warm one spec in place first: the batch must dedup against the
      cache, not just within itself. *)
   let pre = E.Runner.run s1 in
-  let c0 = E.Runner.simulated_cycles () in
-  E.Runner.run_batch ~jobs:2 [ s1; s2; s3; s2; s1 ];
-  let c1 = E.Runner.simulated_cycles () in
-  (* Exactly the two fresh specs executed, each exactly once: the cycle
-     delta equals the sum of their parallel times. *)
-  Alcotest.(check int) "fresh specs executed once each"
-    ((E.Runner.run s2).E.Runner.parallel_cycles
-    + (E.Runner.run s3).E.Runner.parallel_cycles)
-    (c1 - c0);
-  E.Runner.run_batch ~jobs:2 [ s1; s2; s3 ];
-  Alcotest.(check int) "re-batch executes nothing" c1
-    (E.Runner.simulated_cycles ());
+  Alcotest.(check int) "fresh specs executed once each" 2
+    (E.Runner.run_batch ~jobs:2 [ s1; s2; s3; s2; s1 ]);
+  Alcotest.(check int) "re-batch executes nothing" 0
+    (E.Runner.run_batch ~jobs:2 [ s1; s2; s3 ]);
   Alcotest.(check bool) "pre-batch cache entry untouched" true
     (E.Runner.run s1 == pre)
 
@@ -72,7 +64,7 @@ let test_batch_matches_inplace () =
      (determinism across domains; the CI diff of --jobs 1 vs default
      pins the same property end-to-end on whole tables). *)
   let spec = E.Runner.smp ~scale "fmm" 4 ~clustering:2 in
-  E.Runner.run_batch ~jobs:2 [ spec ];
+  ignore (E.Runner.run_batch ~jobs:2 [ spec ]);
   let batched = E.Runner.run spec in
   let inplace = E.Runner.run { spec with E.Runner.checks = false } in
   (* Different checks flag => different spec => fresh in-place run; the
@@ -89,6 +81,68 @@ let test_messages_split () =
   Alcotest.(check bool) "remote messages" true (r.E.Runner.remote_msgs > 0);
   Alcotest.(check bool) "downgrades counted separately" true
     (r.E.Runner.downgrade_msgs >= 0 && r.E.Runner.local_msgs >= 0)
+
+(* The top-level field names of a JSON record, in order: the keys of
+   its two-space-indented lines. *)
+let json_fields j =
+  String.split_on_char '\n' j
+  |> List.filter_map (fun line ->
+         if String.length line > 3 && String.sub line 0 3 = "  \"" then
+           Some (List.nth (String.split_on_char '"' line) 1)
+         else None)
+
+let run_fields =
+  [
+    "target"; "wall_seconds"; "simulated_cycles"; "simulated_seconds"; "jobs";
+    "host_cores"; "yields_performed"; "yields_elided"; "fastpath";
+    "hit_fastpath_rate"; "runs";
+  ]
+
+let record (t : E.Targets.t) ~scale =
+  ignore (E.Runner.run_batch ~jobs:2 (t.specs ~scale));
+  E.Targets.json t ~scale ~wall:0.0 ~jobs:2 (t.render ~scale)
+
+let test_json_no_runs () =
+  let micro = Option.get (E.Targets.find "micro") in
+  let j = record micro ~scale in
+  Alcotest.(check (list string)) "field names" run_fields (json_fields j);
+  check_contains j
+    ("\"runs\": 0\n"
+    :: List.map
+         (Printf.sprintf "\"%s\": null,")
+         [
+           "simulated_cycles"; "simulated_seconds"; "yields_performed";
+           "yields_elided"; "hit_fastpath_rate";
+         ])
+
+(* A target's record folds over its own distinct specs, so it cannot
+   depend on which targets ran before it: running an overlapping target
+   in between changes nothing, and the simulated cycles are the sum over
+   the target's distinct specs even when another target executed them. *)
+let test_json_per_target () =
+  let scale = 0.2 in
+  let fig3 =
+    {
+      E.Targets.name = "fig3";
+      specs = (fun ~scale -> E.Exp_speedup.specs ~procs:[ 1; 2 ] ~scale ());
+      render =
+        (fun ~scale ->
+          E.Targets.text (E.Exp_speedup.render ~procs:[ 1; 2 ] ~scale ()));
+    }
+  in
+  let table1 = Option.get (E.Targets.find "table1") in
+  let cycles (t : E.Targets.t) =
+    List.sort_uniq compare (t.specs ~scale)
+    |> List.fold_left (fun a s -> a + (E.Runner.run s).E.Runner.parallel_cycles) 0
+  in
+  let before = record fig3 ~scale in
+  Alcotest.(check (list string)) "field names" run_fields (json_fields before);
+  let t1 = record table1 ~scale in
+  Alcotest.(check string) "fig3 record unchanged" before (record fig3 ~scale);
+  check_contains before
+    [ Printf.sprintf "\"simulated_cycles\": %d," (cycles fig3); "\"runs\": 45\n" ];
+  check_contains t1
+    [ Printf.sprintf "\"simulated_cycles\": %d," (cycles table1); "\"runs\": 27\n" ]
 
 let () =
   Alcotest.run "experiments"
@@ -108,5 +162,10 @@ let () =
             test_run_batch_once_semantics;
           Alcotest.test_case "run_batch matches in-place" `Quick
             test_batch_matches_inplace;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "target with no runs" `Quick test_json_no_runs;
+          Alcotest.test_case "per-target fold" `Quick test_json_per_target;
         ] );
     ]

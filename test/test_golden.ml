@@ -35,9 +35,9 @@ let variant_name = function Config.Base -> "base" | Config.Smp -> "smp"
 let run_one ?run_ahead app ~variant ~nprocs ~clustering =
   let maker = Registry.find app in
   let inst = maker ~scale () in
-  let heap = max (1 lsl 22) inst.App.heap_bytes in
-  let heap = (heap + 4095) / 4096 * 4096 in
-  let cfg = Config.create ~variant ~nprocs ~clustering ~heap_bytes:heap () in
+  let cfg =
+    Config.create ~variant ~nprocs ~clustering ~heap_bytes:(App.heap inst) ()
+  in
   let h = Dsm.create cfg in
   let body, verify = inst.App.setup h in
   Dsm.run ?run_ahead h body;

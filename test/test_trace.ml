@@ -40,7 +40,7 @@ let snapshot_file = "golden_trace.expected"
 let workload () =
   let cfg =
     Config.create ~variant:Config.Smp ~nprocs:8 ~clustering:4
-      ~heap_bytes:(1 lsl 20) ~trace:1 ()
+      ~heap_bytes:(1 lsl 20) ()
   in
   let h = Dsm.create cfg in
   let blocks = List.init 6 (fun _ -> Dsm.alloc h ~block_size:64 ~home:4 64) in

@@ -191,8 +191,7 @@ let test_lock_order_acyclic_kv () =
   let inst = (Shasta_apps.Kv.instance : App.maker) () in
   let cfg =
     Config.create ~variant:Config.Smp ~nprocs:8 ~clustering:4
-      ~heap_bytes:((max (1 lsl 22) inst.App.heap_bytes + 4095) / 4096 * 4096)
-      ()
+      ~heap_bytes:(App.heap inst) ()
   in
   let h = Dsm.create cfg in
   let body, _ = inst.App.setup h in

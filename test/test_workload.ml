@@ -89,8 +89,8 @@ let test_unattributed_msgs () =
   Alcotest.(check bool) "rendered as unattributed_msgs" true
     (contains out (Printf.sprintf "unattributed_msgs %d " other));
   Alcotest.(check bool) "no other row" false (contains out "| other");
-  match Ycsb.totals_json () with
-  | None -> Alcotest.fail "no totals after a run"
+  match Ycsb.totals_json [ r ] with
+  | None -> Alcotest.fail "no totals for a run"
   | Some j ->
     Alcotest.(check bool) "json carries unattributed_msgs" true
       (contains j "\"unattributed_msgs\"");
