@@ -917,6 +917,7 @@ let poll_handle ctx =
     let now = Engine.now ctx.eng in
     match Network.poll ctx.m.Machine.net ~dst:(pid ctx) ~now with
     | Some (src, msg) ->
+      Engine.touch ctx.eng;
       obs_recv ctx ~src ~now msg;
       handle_message ctx ~src msg;
       loop ()
@@ -946,10 +947,13 @@ let op_tick ctx =
 
 (* Spin-wait, re-checking [pred] and the message queue every
    [stall_gap] cycles. Iterations whose lattice point lies strictly
-   below the visibility horizon are provably no-ops (frozen peers, an
+   below the visibility bound are provably no-ops (frozen peers, an
    empty probe, a false predicate), so they are collapsed into a single
    advance ([Engine.idle_skip]) — the cycle charge and every observable
-   re-check point are identical to stepping. *)
+   re-check point are identical to stepping. Predicates read only node
+   state, which a waiter changes only by handling a message or after
+   leaving this loop: both [Engine.touch] the node, so a parked sibling
+   counts as frozen exactly while its predicate cannot have changed. *)
 let stall ctx cat pred =
   let gap = ctx.t.Timing.stall_gap in
   with_category ctx cat (fun () ->
@@ -957,7 +961,8 @@ let stall ctx cat pred =
         poll ctx;
         if not (pred ()) then
           charge_yield ctx (gap + Engine.idle_skip ctx.eng ~quantum:gap)
-      done)
+      done);
+  Engine.touch ctx.eng
 
 (* ------------------------------------------------------------------ *)
 (* Requests.                                                           *)

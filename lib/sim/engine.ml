@@ -6,12 +6,9 @@ type status =
   | Running
   | Finished
 
-(* Yield-effect counters for one [run]. Shared by the run's processors
-   (a run is single-domain: its coroutines interleave, never overlap),
-   never by two runs — which is what makes concurrent [run]s on
-   separate domains race-free. *)
-type counters = { mutable performed : int; mutable elided : int }
-
+(* State shared by the processors of one [run] (a run is single-domain:
+   its coroutines interleave, never overlap), never by two runs — which
+   is what makes concurrent [run]s on separate domains race-free. *)
 type proc = {
   p_id : int;
   p_nprocs : int;
@@ -24,14 +21,28 @@ type proc = {
          elision below never fires there). A yield requested while the
          clock still equals it is a guaranteed self-resume — see the
          comment on [yield]. *)
-  mutable p_visible : int;
-      (* The base of [p_horizon] before the tie-break adjustment: the
-         earliest virtual time at which anything another processor did
-         or will do (including a queued message's arrival) can become
-         visible to [p]. Strictly below it, a poll probe is guaranteed
-         empty and no shared state [p] can observe changes. *)
+  p_group : int;
+      (* This processor's zero-lookahead class (the least pid in it): the
+         processors that may see each other's writes at no delay. *)
+  mutable p_park_at : int;
+      (* The clock the advance after the latest [idle_skip] lands on. *)
+  mutable p_park_epoch : int;
+      (* Its group's epoch when this processor parked — suspended by the
+         advance after [idle_skip] — or -1 when it is not parked. *)
   p_max_cycles : int;
-  p_counters : counters;
+  p_run : shared;
+}
+
+and shared = {
+  mutable performed : int;
+  mutable elided : int;
+  mutable tasks : proc array;
+  lookahead : int array;
+      (* Flat [nprocs * nprocs], closed under the triangle inequality. *)
+  arrival_hint : int -> int;
+  epochs : int array;
+      (* Per group (indexed by its least pid), bumped by [touch]. *)
+  run_ahead : bool;
 }
 
 type outcome = {
@@ -74,18 +85,18 @@ let advance_local p c =
    collapses them into at most one continuation switch. *)
 let yield p =
   if p.p_now >= p.p_horizon && p.p_now <> p.p_resumed_at then begin
-    p.p_counters.performed <- p.p_counters.performed + 1;
+    p.p_run.performed <- p.p_run.performed + 1;
     Effect.perform Yield
   end
-  else p.p_counters.elided <- p.p_counters.elided + 1
+  else p.p_run.elided <- p.p_run.elided + 1
 
 let advance p c =
   advance_local p c;
   if p.p_now >= p.p_horizon && p.p_now <> p.p_resumed_at then begin
-    p.p_counters.performed <- p.p_counters.performed + 1;
+    p.p_run.performed <- p.p_run.performed + 1;
     Effect.perform Yield
   end
-  else p.p_counters.elided <- p.p_counters.elided + 1
+  else p.p_run.elided <- p.p_run.elided + 1
 
 (* Resume [p] under a deep handler that parks the continuation on Yield.
    The handler returns control to the scheduler loop after each effect. *)
@@ -175,48 +186,150 @@ module Runq = struct
     m
 end
 
-(* Cycles an idle spin loop may skip over in one step: a loop that
-   re-checks state and polls every [quantum] cycles observes, at every
-   lattice point strictly below [p_visible], exactly the state it sees
-   now — frozen peers, an empty due-message probe — so those
-   iterations can be collapsed into a single advance of the returned
-   amount, landing on the first lattice point at or past [p_visible]
-   (0 when that is the very next point). Virtual-time behavior is
-   bit-identical to stepping; only the wasted re-checks go away. *)
-let idle_skip p ~quantum =
-  (* Compare before subtracting: under the always-yield scheduler
-     [p_visible] stays at [min_int] and a subtraction would wrap. *)
-  if p.p_visible = max_int || p.p_visible <= p.p_now then 0
-  else begin
-    let d = p.p_visible - p.p_now in
-    if d <= quantum then 0
-    else begin
-      let steps = (d + quantum - 1) / quantum in
-      quantum * (steps - 1)
-    end
-  end
-
 let no_hint (_ : int) = max_int
 
-(* The run's processors, all [Fresh] at clock 0 and sharing one counter
-   record. Horizon and visibility start in the past — the always-yield
-   setting, which [run_controlled] keeps throughout and [run] overwrites
-   at every resume. *)
-let make_tasks ~nprocs ~max_cycles =
-  assert (nprocs > 0);
-  let counters = { performed = 0; elided = 0 } in
-  Array.init nprocs (fun i ->
-      {
-        p_id = i;
-        p_nprocs = nprocs;
-        p_now = 0;
-        p_status = Fresh;
-        p_horizon = min_int;
-        p_resumed_at = min_int;
-        p_visible = min_int;
-        p_max_cycles = max_cycles;
-        p_counters = counters;
-      })
+(* The lookahead matrix closed under the triangle inequality (min-plus
+   Floyd–Warshall): afterwards [la(p,r) <= la(p,q) + la(q,r)] for every
+   triple. Closing only lowers entries, which is always safe, and the
+   frozen-peer term of [visible] relies on it. *)
+let close n la =
+  let la = Array.copy la in
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let via = la.((i * n) + k) + la.((k * n) + j) in
+        if via < la.((i * n) + j) then la.((i * n) + j) <- via
+      done
+    done
+  done;
+  la
+
+(* Each processor's zero-lookahead class, named by its least pid: the
+   processors joined, transitively, by a zero entry in either direction
+   — in [Dsm], the coherence nodes. *)
+let groups n la =
+  let g = Array.init n Fun.id in
+  let rec root i = if g.(i) = i then i else root g.(i) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if la.((i * n) + j) = 0 then begin
+        let a = root i and b = root j in
+        if a <> b then g.(max a b) <- min a b
+      end
+    done
+  done;
+  Array.init n root
+
+(* The run's processors, all [Fresh] at clock 0 and sharing one [shared]
+   record. The horizon starts in the past — the always-yield setting,
+   which [run_controlled] and [run ~run_ahead:false] keep throughout and
+   [run] overwrites at every resume. *)
+let make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead =
+  assert (nprocs > 0 && Array.length lookahead = nprocs * nprocs);
+  let group = groups nprocs lookahead in
+  let r =
+    {
+      performed = 0;
+      elided = 0;
+      tasks = [||];
+      lookahead;
+      arrival_hint;
+      epochs = Array.make nprocs 0;
+      run_ahead;
+    }
+  in
+  r.tasks <-
+    Array.init nprocs (fun i ->
+        {
+          p_id = i;
+          p_nprocs = nprocs;
+          p_now = 0;
+          p_status = Fresh;
+          p_horizon = min_int;
+          p_resumed_at = min_int;
+          p_group = group.(i);
+          p_park_at = min_int;
+          p_park_epoch = -1;
+          p_max_cycles = max_cycles;
+          p_run = r;
+        });
+  r.tasks
+
+(* Frozen peers. A processor [parks] when the advance that follows its
+   [idle_skip] performs the yield, and records its group's epoch. While
+   it stays parked and the epoch is unchanged it is frozen: its next
+   action can only be handling a message (a pure re-check of an
+   unchanged predicate changes nothing), which cannot happen before its
+   own clock or its earliest queued arrival. Every event that may change
+   what a parked processor's predicate reads bumps the epoch ([touch]):
+   a processor resumed while not parked (it may mutate its group's
+   state before it next yields), a handled message, and a waiter
+   leaving its wait loop. *)
+let touch p =
+  let e = p.p_run.epochs in
+  e.(p.p_group) <- e.(p.p_group) + 1
+
+(* The earliest virtual time at which anything another processor does
+   can become visible to [p]: its own earliest queued arrival, and for
+   every other live processor its clock plus the pair's lookahead — or,
+   for a frozen one, the later of its clock and its earliest queued
+   arrival, plus the lookahead (nothing, with none queued). Messages
+   not yet sent are bounded by their senders' own terms: a chain
+   [s -> q -> p] through a frozen [q] becomes visible no earlier than
+   [s]'s clock plus [la(q,s) + la(p,q) >= la(p,s)]. Strictly below this
+   bound a poll probe is empty and no state [p] can observe changes.
+
+   Hot: one call per idle wait iteration. The scan stops once the bound
+   is at or below [floor], where the caller skips nothing anyway, and
+   asks for a frozen peer's arrival only when its clock term could
+   still lower the bound. The unsafe reads are in range: [i < nprocs],
+   [p_group < nprocs] and [row + i < nprocs * nprocs]. *)
+let visible p ~floor =
+  let r = p.p_run in
+  let n = p.p_nprocs in
+  assert (Array.length r.tasks = n && Array.length r.epochs = n);
+  let row = p.p_id * n in
+  let v = ref (r.arrival_hint p.p_id) in
+  let i = ref 0 in
+  while !i < n && !v > floor do
+    let q = Array.unsafe_get r.tasks !i in
+    if q != p && q.p_status <> Finished then begin
+      let la = Array.unsafe_get r.lookahead (row + !i) in
+      if q.p_now + la < !v then begin
+        let b =
+          if q.p_park_epoch = Array.unsafe_get r.epochs q.p_group then
+            let a = r.arrival_hint !i in
+            if a = max_int then max_int else max q.p_now a + la
+          else q.p_now + la
+        in
+        if b < !v then v := b
+      end
+    end;
+    incr i
+  done;
+  !v
+
+(* Cycles an idle spin loop may skip over in one step: a loop that
+   re-checks state and polls every [quantum] cycles observes, at every
+   lattice point strictly below [visible], exactly the state it sees
+   now, so those iterations can be collapsed into a single advance of
+   [quantum] plus the returned amount, landing on the first lattice
+   point at or past the bound (0 extra when that is the very next
+   point). Virtual-time behavior is bit-identical to stepping; only the
+   wasted re-checks go away. Under the always-yield schedulers every
+   iteration is stepped. *)
+let idle_skip p ~quantum =
+  if not p.p_run.run_ahead then 0
+  else begin
+    let v = visible p ~floor:(p.p_now + quantum) in
+    let d = v - p.p_now in
+    let skip =
+      if v = max_int || d <= quantum then 0
+      else quantum * (((d + quantum - 1) / quantum) - 1)
+    in
+    p.p_park_at <- p.p_now + quantum + skip;
+    skip
+  end
 
 (* Crash events: a due-event pump, consulted before each resume, whose
    callbacks get a kill closure over the run's tasks.
@@ -254,24 +367,30 @@ let event_pump tasks events =
     go ()
 
 let outcome tasks =
-  let c = tasks.(0).p_counters in
+  let r = tasks.(0).p_run in
   {
     finish = Array.map (fun p -> p.p_now) tasks;
-    yields_performed = c.performed;
-    yields_elided = c.elided;
+    yields_performed = r.performed;
+    yields_elided = r.elided;
   }
 
 let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
     ?(arrival_hint = no_hint) ?(lookahead = [||]) ?(events = []) body =
   assert (
     Array.length lookahead = 0 || Array.length lookahead = nprocs * nprocs);
-  let tasks = make_tasks ~nprocs ~max_cycles in
-  let has_events = events <> [] in
-  let fire_due = event_pump tasks events in
   let lookahead =
-    if Array.length lookahead > 0 then lookahead
+    if Array.length lookahead > 0 then close nprocs lookahead
     else Array.make (nprocs * nprocs) 0
   in
+  let tasks =
+    make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead
+  in
+  let has_events = events <> [] in
+  let fire_due = event_pump tasks events in
+  (* Processors park (and so may be frozen) only under run-ahead and
+     with no crash event scheduled: a kill or a recovery changes state
+     outside the wake rules. *)
+  let parking = run_ahead && not has_events in
   (* The horizon of [p]: the first virtual time at which [p] must hand
      control back to the scheduler.  Its base is the earliest virtual
      time at which another processor's actions can become visible to
@@ -324,7 +443,6 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
       end
     done;
     let h = !h in
-    p.p_visible <- h;
     if !tie_lower || h = max_int then h else h + 1
   in
   let q = Runq.create nprocs tasks.(0) in
@@ -342,17 +460,16 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
       if has_events then fire_due p;
       if p.p_status = Finished then running := false
       else begin
-        (* With [run_ahead] off, a past horizon forces the effect at every
-           scheduling point and [p_visible] stays in the past so idle waits
-           advance one quantum at a time, reproducing the always-yield
-           scheduler switch-for-switch. *)
+        (* With [run_ahead] off, the horizon stays in the past, so every
+           scheduling point performs the effect and idle waits advance
+           one quantum at a time, reproducing the always-yield scheduler
+           switch-for-switch. *)
         if run_ahead then begin
+          (* A processor resumed anywhere but in its idle wait may change
+             its group's state before it next yields. *)
+          if p.p_park_epoch < 0 then touch p else p.p_park_epoch <- -1;
           p.p_horizon <- horizon_of p;
           p.p_resumed_at <- p.p_now
-        end
-        else begin
-          p.p_horizon <- min_int;
-          p.p_visible <- min_int
         end;
         step body p;
         (* A Running status here means [step] returned without the task
@@ -360,6 +477,12 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
            rules out. *)
         match p.p_status with
         | Suspended _ ->
+          (* Every scheduling point at one clock of a slice makes the
+             same perform-or-elide decision, so a yield performed at the
+             landing clock of the latest [idle_skip] is that skip's
+             advance: [p] parks. *)
+          if parking && p.p_now = p.p_park_at then
+            p.p_park_epoch <- p.p_run.epochs.(p.p_group);
           (* Self-resume fast path: pushing [p] and popping again would
              return [p] itself whenever it is still the strict (clock,
              pid) minimum — [less] is total on live processors (unique
@@ -389,7 +512,10 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
    FIFO order is preserved by the network layer regardless of schedule. *)
 let run_controlled ~nprocs ?(max_cycles = 2_000_000_000) ?(events = []) ~choose
     body =
-  let tasks = make_tasks ~nprocs ~max_cycles in
+  let tasks =
+    make_tasks ~nprocs ~max_cycles ~run_ahead:false ~arrival_hint:no_hint
+      ~lookahead:(Array.make (nprocs * nprocs) 0)
+  in
   let has_events = events <> [] in
   let fire_due = event_pump tasks events in
   let running = ref true in

@@ -85,8 +85,10 @@ val run :
 
     [arrival_hint pid] may return the earliest arrival timestamp of an
     in-flight message destined to [pid], or [max_int] when none (the
-    default). It is consulted once per resume and only ever {e tightens}
-    the horizon, so a conservative hint is always safe.
+    default). It is consulted for the resumed processor at every resume
+    and, by {!idle_skip}, for the waiting processor and its frozen peers;
+    it must not return later than the earliest such arrival, and an
+    earlier (conservative) hint is always safe.
 
     [lookahead] is a flat [nprocs * nprocs] matrix; entry
     [p * nprocs + q] is a lower bound on the virtual-time delay before
@@ -96,9 +98,12 @@ val run :
     processor contributes [clock + lookahead] to the resumed
     processor's horizon, which is where run-ahead earns its keep. The
     default (and an empty array) is all zeros: the horizon degenerates
-    to the exact second-lowest runnable clock. Under-estimating an
-    entry is always safe; over-estimating one can reorder visible
-    events. *)
+    to the exact second-lowest runnable clock. The run closes the matrix
+    under the triangle inequality (the cheapest path through any chain
+    of processors), so under-estimating an entry is always safe;
+    over-estimating one can reorder visible events. Its zero-lookahead
+    classes — processors joined by a zero entry either way — are the
+    {e groups} of {!idle_skip} and {!touch}. *)
 
 val run_controlled :
   nprocs:int ->
@@ -146,9 +151,34 @@ val yield : proc -> unit
 val idle_skip : proc -> quantum:int -> int
 (** [idle_skip p ~quantum] is the number of cycles an idle spin loop —
     one that polls, re-checks state and advances [quantum] cycles per
-    iteration — may add to its next advance so that it lands on the
-    first lattice point at or past the visibility horizon (0 when that
-    is the very next point anyway). Every skipped iteration is provably
-    a no-op: strictly below the horizon the message probe is empty and
-    no observable state can have changed, so the collapsed wait is
-    bit-identical to stepping in virtual time. *)
+    iteration — may add to its next advance, [advance p (quantum + skip)],
+    so that it lands on the first lattice point at or past [p]'s
+    visibility bound (0 when that is the very next point anyway). Every
+    skipped iteration is provably a no-op: strictly below the bound the
+    message probe is empty and no observable state can have changed, so
+    the collapsed wait is bit-identical to stepping in virtual time. It
+    is always 0 under [run ~run_ahead:false] and {!run_controlled}.
+
+    The bound is the earliest time another processor's action can become
+    visible to [p]: [p]'s own earliest queued arrival, and for each other
+    live processor [q] its clock plus the pair's lookahead — except for a
+    {e frozen} [q], which contributes [max (clock q) (arrival_hint q)]
+    plus the lookahead ([max_int], i.e. nothing, when it has no queued
+    message). A processor {e parks} when the advance that follows its
+    [idle_skip] performs the yield; it is frozen while it stays parked
+    and no {!touch} has hit its group since. Its only possible next
+    action is then handling a message. So a node whose processors all
+    wait advances in message-arrival or remote-lookahead steps rather
+    than one [quantum] per scheduler switch. Parking is off under
+    [run ~run_ahead:false], {!run_controlled} and when [events] are
+    scheduled. *)
+
+val touch : proc -> unit
+(** [touch p] records that [p] may have changed state its group reads,
+    so no processor of [p]'s group counts as frozen (see {!idle_skip})
+    until it parks again. A waiting loop built on {!idle_skip} must call
+    it when it handles a message and when it leaves the loop, and its
+    predicate may read only state that processors of its own group
+    change (anything else must reach it as a message); the scheduler
+    touches on behalf of a processor resumed while not parked. Touching
+    more often than needed only costs skipped cycles. *)

@@ -52,10 +52,14 @@ let explore (p : params) =
     (fun l -> if not (Hashtbl.mem labels l) then Hashtbl.add labels l ());
   t.M.on_branch <-
     (fun b -> if not (Hashtbl.mem branches b) then Hashtbl.add branches b ());
-  let ids : (M.state, int) Hashtbl.t = Hashtbl.create 65536 in
-  let by_id : (int, M.state) Hashtbl.t = Hashtbl.create 65536 in
+  (* Start small and let the tables grow: the clean 2x2x1 space is ~3.9k
+     states, and pre-sized bucket arrays would stay on the heap for the
+     whole pass. The tables are only probed, never iterated, so their
+     size cannot change the output. *)
+  let ids : (M.state, int) Hashtbl.t = Hashtbl.create 1024 in
+  let by_id : (int, M.state) Hashtbl.t = Hashtbl.create 1024 in
   (* id -> (parent id, action description); absent for the root *)
-  let parent : (int, int * string) Hashtbl.t = Hashtbl.create 65536 in
+  let parent : (int, int * string) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let next = ref 0 in
   let capped = ref false in

@@ -117,6 +117,43 @@ let test_single_domain () =
     "every body ran on the caller's domain"
     (Array.make nprocs caller) ran_on
 
+(* Yield budget of the frozen-node idle skip: processors 0-3 (node 0)
+   compute while the other twelve wait at a barrier, so nodes 1-3 are
+   wholly waiting. Their processors must skip to their next possible
+   wake-up rather than poll every stall gap — at the same virtual times
+   as the always-yield scheduler. *)
+let barrier_after_compute ~run_ahead =
+  let cfg = Config.create ~variant:Config.Smp ~nprocs:16 ~clustering:4 () in
+  let h = Dsm.create cfg in
+  let bar = Dsm.alloc_barrier h in
+  Dsm.run ~run_ahead h (fun ctx ->
+      if Dsm.pid ctx < 4 then
+        for _ = 1 to 1000 do
+          Dsm.compute ctx 1000
+        done;
+      Dsm.barrier ctx bar);
+  let per_proc =
+    Array.to_list
+      (Array.map
+         (fun p ->
+           ( p.Machine.app_finish_cycles,
+             Array.to_list p.Machine.stats.Stats.cycles,
+             Array.to_list p.Machine.stats.Stats.misses ))
+         (Dsm.machine h).Machine.procs)
+  in
+  (per_proc, fst (Dsm.sched_counts h))
+
+let test_waiting_nodes_skip () =
+  let ay, ay_yields = barrier_after_compute ~run_ahead:false in
+  let ra, ra_yields = barrier_after_compute ~run_ahead:true in
+  Alcotest.(check (list (triple int (list int) (list int))))
+    "finish cycles and stats agree with always-yield" ay ra;
+  (* 203,990 before waiting nodes skipped; 7,274 with the skip. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "performed yields %d <= 20,399 (always-yield %d)" ra_yields
+       ay_yields)
+    true (ra_yields <= 20_399)
+
 let () =
   match Sys.getenv_opt "SHASTA_GOLDEN_WRITE" with
   | Some path ->
@@ -136,5 +173,7 @@ let () =
             Alcotest.test_case "run-ahead equivalent" `Quick
               test_run_ahead_equivalent;
             Alcotest.test_case "single domain" `Quick test_single_domain;
+            Alcotest.test_case "waiting nodes skip" `Quick
+              test_waiting_nodes_skip;
           ] );
       ]

@@ -95,6 +95,148 @@ let prop_finish_equals_sum =
       in
       outcome.Engine.finish.(0) = List.fold_left ( + ) 0 steps)
 
+(* Frozen-peer idle skip. Processors 0-3 share state (lookahead 0, one
+   group); processor 4 is remote (lookahead 1,000). Each scenario runs
+   under run-ahead and under always-yield and compares, per processor,
+   the cycle at which it saw each flag: a wake rule that is missing lets
+   a waiter skip past the moment a parked sibling wakes and acts. *)
+let group_lookahead =
+  Array.init 25 (fun k ->
+      let p = k / 5 and q = k mod 5 in
+      if p = q || (p < 4 && q < 4) then 0 else 1000)
+
+(* Shaped like [Protocol.stall]: probe, re-check, advance one 60-cycle
+   gap plus the idle skip; touch on the way out. *)
+let wait ?(probe = ignore) p pred =
+  while not (pred ()) do
+    Engine.yield p;
+    probe ();
+    if not (pred ()) then
+      Engine.advance p (60 + Engine.idle_skip p ~quantum:60)
+  done;
+  Engine.touch p
+
+(* A scenario builds fresh shared state and returns the run's arrival
+   hint and a body that logs, through [saw], what it sees and when. Run
+   it once under each scheduler; the logs must agree. Returns the log
+   and each leg's performed yields. *)
+let same_both_ways scenario =
+  let run run_ahead =
+    let log = ref [] in
+    let saw p what = log := (Engine.pid p, what, Engine.now p) :: !log in
+    let arrival_hint, body = scenario () in
+    let o =
+      Engine.run ~nprocs:5 ~run_ahead ~arrival_hint
+        ~lookahead:group_lookahead (body saw)
+    in
+    (List.sort compare !log, o.Engine.yields_performed)
+  in
+  let ra, ra_yields = run true and ay, ay_yields = run false in
+  Alcotest.(check (list (triple int string int)))
+    "run-ahead sees what always-yield sees" ay ra;
+  (ra, ra_yields, ay_yields)
+
+let remote_idle p = Engine.advance p 50_000
+
+(* Rule 3: q leaves its wait and sets [b] while r, parked, waits on it;
+   r then sets [c] for s. Without the touch on leaving, s would take r
+   for frozen and skip to the remote's horizon. *)
+let chain () =
+  let a = ref false and b = ref false and c = ref false in
+  ( (fun _ -> max_int),
+    fun saw p ->
+      match Engine.pid p with
+      | 0 ->
+        Engine.advance p 1000;
+        a := true;
+        saw p "set a"
+      | 1 ->
+        wait p (fun () -> !a);
+        saw p "a";
+        b := true
+      | 2 ->
+        Engine.advance p 50;
+        wait p (fun () -> !b);
+        saw p "b";
+        c := true
+      | 3 ->
+        Engine.advance p 15;
+        wait p (fun () -> !c);
+        saw p "c"
+      | _ -> remote_idle p )
+
+let test_frozen_chain () =
+  let log, ra_yields, ay_yields = same_both_ways chain in
+  Alcotest.(check bool) "s saw c one gap after r saw b" true
+    (List.mem (3, "c", 1095) log);
+  Alcotest.(check bool)
+    (Printf.sprintf "run-ahead yields %d << always-yield %d" ra_yields
+       ay_yields)
+    true
+    (ra_yields * 4 < ay_yields)
+
+(* Rule 1: x is busy (not parked) when it sets [a], then keeps
+   computing. Resuming x must unfreeze its parked siblings, or s takes
+   q for frozen while q's predicate is already true. *)
+let late_waker () =
+  let a = ref false and c = ref false in
+  ( (fun _ -> max_int),
+    fun saw p ->
+      match Engine.pid p with
+      | 0 ->
+        for _ = 1 to 100 do
+          Engine.advance p 10
+        done;
+        a := true;
+        saw p "set a";
+        Engine.advance p 1000
+      | 1 ->
+        Engine.advance p 30;
+        wait p (fun () -> !a);
+        saw p "a";
+        c := true
+      | 2 ->
+        Engine.advance p 10;
+        wait p (fun () -> !c);
+        saw p "c"
+      | 3 -> ()
+      | _ -> remote_idle p )
+
+let test_frozen_late_waker () = ignore (same_both_ways late_waker)
+
+(* Rule 2: q, waiting on [d], handles a message from the remote that
+   sets [c]; s waits on [c] and then sets [d]. Handling must unfreeze s,
+   or q takes s for frozen and skips past the moment s sets [d]. *)
+let message_waker () =
+  let msg_at = ref max_int and c = ref false and d = ref false in
+  let hint pid = if pid = 1 then !msg_at else max_int in
+  ( hint,
+    fun saw p ->
+      match Engine.pid p with
+      | 1 ->
+        let probe () =
+          if !msg_at <= Engine.now p then begin
+            Engine.touch p;
+            msg_at := max_int;
+            saw p "msg";
+            c := true
+          end
+        in
+        wait ~probe p (fun () -> !d);
+        saw p "d"
+      | 3 ->
+        Engine.advance p 15;
+        wait p (fun () -> !c);
+        saw p "c";
+        d := true
+      | 4 ->
+        Engine.advance p 100;
+        msg_at := Engine.now p + 1000;
+        remote_idle p
+      | _ -> () )
+
+let test_frozen_message_waker () = ignore (same_both_ways message_waker)
+
 let () =
   Alcotest.run "sim"
     [
@@ -108,5 +250,13 @@ let () =
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
           Alcotest.test_case "tie-break by pid" `Quick test_ties_by_pid;
           QCheck_alcotest.to_alcotest prop_finish_equals_sum;
+        ] );
+      ( "frozen-peers",
+        [
+          Alcotest.test_case "chain (leaving a wait)" `Quick test_frozen_chain;
+          Alcotest.test_case "late active waker (resume)" `Quick
+            test_frozen_late_waker;
+          Alcotest.test_case "message waker (handling)" `Quick
+            test_frozen_message_waker;
         ] );
     ]
