@@ -155,8 +155,9 @@ let add_observer t o =
 let node_of t p = t.procs.(p).node
 
 (* Earliest in-flight message arrival for [p], [max_int] when none: the
-   engine's run-ahead horizon hint. Called once per scheduler resume, so
-   it must not allocate. *)
+   engine's run-ahead horizon hint. The engine asks for it on every
+   scheduler pick (the run-ahead horizon) and on every idle-wait
+   iteration (the visibility bound), so it must not allocate. *)
 let earliest_arrival t p = Network.earliest_arrival t.net ~dst:p
 
 let home_of_block t block =
@@ -165,43 +166,60 @@ let home_of_block t block =
 let block_base t addr = Block_map.base_addr t.blocks t.layout addr
 let block_size t addr = Block_map.size_bytes t.blocks t.layout addr
 
-(* Establish initial ownership of one block: the home's node holds an
-   exclusive zeroed copy; every other node is invalid with the flag
-   pattern stamped so that flag-based load checks fail as they must. *)
-let init_block_ownership t ~block =
-  let home = home_of_block t block in
-  let home_node = node_of t home in
-  let size = block_size t block in
-  let first_line = Layout.line_of t.layout block in
-  let nlines = size / t.layout.Layout.line_size in
-  Array.iteri
-    (fun n ns ->
-      if n = home_node then
-        for l = first_line to first_line + nlines - 1 do
-          State_table.set ns.table l State_table.Exclusive
-        done
-      else begin
-        Image.write_invalid_flag ns.image ~addr:block ~len:size;
-        for l = first_line to first_line + nlines - 1 do
-          State_table.set ns.table l State_table.Invalid
-        done
-      end)
-    t.nodes;
-  Array.iteri
-    (fun p tbl ->
-      let state =
-        if p = home then State_table.Exclusive else State_table.Invalid
-      in
-      for l = first_line to first_line + nlines - 1 do
-        State_table.set tbl l state
-      done)
-    t.privates
+let set_lines tbl ~first ~n state =
+  for l = first to first + n - 1 do
+    State_table.set tbl l state
+  done
 
-let iter_blocks t ~addr ~len f =
+(* Establish initial ownership of the blocks of [addr, addr+len): the
+   home's node holds an exclusive zeroed copy; every other node is
+   invalid with the flag pattern stamped so that flag-based load checks
+   fail as they must. The blocks are taken a segment at a time, a
+   segment being consecutive blocks with one home. Homes follow each
+   block's base line, not its pages: a block of a small object can
+   straddle a page. A node's flag is stamped once per run of
+   consecutive segments homed elsewhere, so the run's whole pages
+   become the shared flag page rather than private copies. *)
+let init_ownership t ~addr ~len =
+  let nnodes = Array.length t.nodes in
+  let run = Array.make nnodes (-1) in
+  let stamp n stop =
+    let start = run.(n) in
+    if start >= 0 then begin
+      Image.write_invalid_flag t.nodes.(n).image ~addr:start ~len:(stop - start);
+      run.(n) <- -1
+    end
+  in
+  let segment home start stop =
+    let home_node = node_of t home in
+    stamp home_node start;
+    for i = 0 to nnodes - 1 do
+      if i <> home_node && run.(i) < 0 then run.(i) <- start
+    done;
+    let first = Layout.line_of t.layout start in
+    let n = Layout.line_of t.layout stop - first in
+    let state owner =
+      if owner then State_table.Exclusive else State_table.Invalid
+    in
+    Array.iteri
+      (fun i ns -> set_lines ns.table ~first ~n (state (i = home_node)))
+      t.nodes;
+    Array.iteri (fun p tbl -> set_lines tbl ~first ~n (state (p = home))) t.privates
+  in
   let pos = ref (block_base t addr) in
+  let seg_start = ref !pos and seg_home = ref (home_of_block t !pos) in
   while !pos < addr + len do
-    f !pos;
+    let home = home_of_block t !pos in
+    if home <> !seg_home then begin
+      segment !seg_home !seg_start !pos;
+      seg_start := !pos;
+      seg_home := home
+    end;
     pos := !pos + block_size t !pos
+  done;
+  segment !seg_home !seg_start !pos;
+  for i = 0 to nnodes - 1 do
+    stamp i !pos
   done
 
 let alloc t ?block_size:bs ?home size =
@@ -234,29 +252,30 @@ let alloc t ?block_size:bs ?home size =
               proc addr ps lead_home));
     Home_map.set_home t.homes t.layout ~addr ~len:size ~proc
   | None -> ());
-  iter_blocks t ~addr ~len:size (fun b -> init_block_ownership t ~block:b);
+  init_ownership t ~addr ~len:size;
   addr
 
 let place t ~addr ~len ~proc =
   (* Setup phase only. Homes live at page granularity, so re-pinning any
      byte of a page moves the whole page: operate on the page-aligned
-     envelope so block states and the home map never disagree. Data must
-     be poked after placement. *)
+     envelope so block states and the home map never disagree. Every
+     node's copy of the envelope's blocks is flagged first, so no stale
+     data survives the move in any copy; then the new home's copy of the
+     envelope is zeroed. Data must be poked after placement. *)
   let ps = t.layout.Layout.page_size in
   let start = addr / ps * ps in
   let stop = (((addr + len - 1) / ps) + 1) * ps in
   let env_len = stop - start in
-  iter_blocks t ~addr:start ~len:env_len (fun b ->
-      let size = block_size t b in
-      Array.iter
-        (fun ns -> Image.write_invalid_flag ns.image ~addr:b ~len:size)
-        t.nodes);
+  let first = block_base t start in
+  let last = block_base t (stop - 1) in
+  let blocks_stop = last + block_size t last in
+  Array.iter
+    (fun ns ->
+      Image.write_invalid_flag ns.image ~addr:first ~len:(blocks_stop - first))
+    t.nodes;
   Home_map.set_home t.homes t.layout ~addr:start ~len:env_len ~proc;
-  let new_node = node_of t proc in
-  Image.write_bytes t.nodes.(new_node).image ~addr:start
-    (Bytes.make env_len '\000');
-  iter_blocks t ~addr:start ~len:env_len (fun b ->
-      init_block_ownership t ~block:b)
+  Image.zero t.nodes.(node_of t proc).image ~addr:start ~len:env_len;
+  init_ownership t ~addr:start ~len:env_len
 
 let alloc_lock t =
   let id = t.next_lock in

@@ -121,20 +121,28 @@ val block_size : t -> int -> int
 val alloc : t -> ?block_size:int -> ?home:int -> int -> int
 (** Allocate shared memory (setup phase). The home's node starts with an
     exclusive, zero-initialized copy; all other nodes start invalid with
-    the flag pattern stamped in. [home] pins every page of the object;
-    because homes live at page granularity, raises [Invalid_argument] if
-    the allocation starts mid-page on a page whose current home differs
-    from [home] — pinning would silently re-home the tail of the
-    previous allocation sharing that page and orphan its directory
-    entries. (Packing several objects onto one page pinned to the {e
-    same} home is idempotent and allowed.) Pad the preceding allocation
-    to a page multiple, or allocate the pinned object first. *)
+    the flag pattern stamped in. Nothing is zero-filled: untouched pages
+    of the home's image stay the shared zero page, and each other node's
+    whole pages of the object become the shared flag page
+    ({!Shasta_mem.Image}); only a page the object fills partly is
+    copied.
+
+    [home] pins every page of the object; because homes live at page
+    granularity, raises [Invalid_argument] if the allocation starts
+    mid-page on a page whose current home differs from [home] — pinning
+    would silently re-home the tail of the previous allocation sharing
+    that page and orphan its directory entries. (Packing several objects
+    onto one page pinned to the {e same} home is idempotent and
+    allowed.) Pad the preceding allocation to a page multiple, or
+    allocate the pinned object first. *)
 
 val place : t -> addr:int -> len:int -> proc:int -> unit
 (** Re-home an address range (setup phase only): pins the page-aligned
     envelope of the range to [proc] and re-establishes the initial
-    exclusive (zeroed) copies there. Initial data must be poked after
-    placement. *)
+    exclusive (zeroed) copies there. Zeroing allocates nothing: the new
+    home's pages in the envelope go back to the shared zero page, and
+    the other nodes' to the shared flag page. Initial data must be
+    poked after placement. *)
 
 val alloc_lock : t -> int
 val alloc_barrier : t -> int

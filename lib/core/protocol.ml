@@ -289,14 +289,7 @@ let write_flag_now ctx block =
       e.Miss_table.store_ranges
     | Some _ | None -> []
   in
-  match skip with
-  | [] -> Image.write_invalid_flag ns.Machine.image ~addr:block ~len:size
-  | _ ->
-    let flags = Bytes.create size in
-    for w = 0 to (size / 4) - 1 do
-      Bytes.set_int32_le flags (4 * w) Image.invalid_flag32
-    done;
-    Image.write_bytes ns.Machine.image ~addr:block ~skip flags
+  Image.write_invalid_flag ns.Machine.image ~skip ~addr:block ~len:size
 
 let stamp_invalid ctx block =
   let ns = node_state ctx in

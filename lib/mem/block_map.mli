@@ -4,7 +4,12 @@
     coherent as a unit; the block size is fixed per allocation (variable
     coherence granularity, the distinctive Shasta feature). The map is
     global — identical on every node — because allocation happens before
-    the parallel phase. *)
+    the parallel phase.
+
+    The map is two zero-filled byte arrays of one int32 per line: the
+    distance from the line back to its block's first line, and the
+    block's line count minus one. Zero in both means a one-line block,
+    so creating a map is a memset, and the GC never scans it. *)
 
 type t
 

@@ -11,8 +11,10 @@ let log2 n =
   let rec go s n = if n <= 1 then s else go (s + 1) (n lsr 1) in
   go 0 n
 
+let page_bits = 12
+
 let create ?(line_size = 64) ?(heap_bytes = 8 * 1024 * 1024) () =
-  let page_size = 4096 in
+  let page_size = 1 lsl page_bits in
   assert (is_power_of_two line_size && line_size >= 8);
   assert (page_size mod line_size = 0);
   assert (heap_bytes mod page_size = 0);

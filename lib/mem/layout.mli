@@ -14,6 +14,10 @@ type t = private {
   page_size : int;
 }
 
+val page_bits : int
+(** [log2 page_size], the same for every layout: 12, for 4 KiB pages.
+    {!Image} pages are layout pages. *)
+
 val create : ?line_size:int -> ?heap_bytes:int -> unit -> t
 (** Defaults: 64-byte lines, 8 MiB heap, 4 KiB pages. [line_size] must be
     a power of two of at least 8 and divide the page size. *)

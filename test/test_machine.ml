@@ -55,6 +55,30 @@ let test_place_moves_ownership () =
          else st = State_table.Invalid))
     m.Machine.nodes
 
+(* A small object is one block, so it can straddle a page boundary into
+   a page homed elsewhere. Its block's home (that of its first line)
+   holds the whole block zeroed and every other node the whole block
+   flagged, whatever the second page's home. *)
+let test_straddling_block_follows_its_home () =
+  let m = Machine.create (Config.create ~variant:Config.Base ~nprocs:4 ()) in
+  let ps = m.Machine.layout.Layout.page_size in
+  ignore (Machine.alloc m (ps - 128));
+  let a = Machine.alloc m 512 in
+  Alcotest.(check int) "straddles" (ps - 128) a;
+  let home = Machine.home_of_block m a in
+  let tail_home = Machine.home_of_block m ps in
+  Alcotest.(check bool) "pages homed on different nodes" true
+    (Machine.node_of m home <> Machine.node_of m tail_home);
+  Array.iteri
+    (fun n ns ->
+      for w = 0 to (512 / 8) - 1 do
+        let v = Image.load64 ns.Machine.image (a + (8 * w)) in
+        if n = Machine.node_of m home then
+          Alcotest.(check int64) "home node zeroed" 0L v
+        else Alcotest.(check bool) "other node flagged" true (Image.is_flag64 v)
+      done)
+    m.Machine.nodes
+
 let test_block_geometry () =
   let m = machine () in
   let a = Machine.alloc m ~block_size:512 2048 in
@@ -148,6 +172,8 @@ let () =
             test_home_proc_private_exclusive;
           Alcotest.test_case "place moves ownership" `Quick
             test_place_moves_ownership;
+          Alcotest.test_case "straddling block follows its home" `Quick
+            test_straddling_block_follows_its_home;
         ] );
       ( "geometry",
         [
