@@ -440,8 +440,8 @@ let ycsb_no_progs_arg =
     value & flag
     & info [ "no-progs" ]
         ~doc:
-          "Use the per-access closure path instead of compiled access \
-           programs (cycle-identical; for diffing).")
+          "Use the per-access primitive path instead of the KV kernels \
+           (cycle-identical; for diffing).")
 
 let ycsb_cmd =
   Cmd.v
@@ -581,12 +581,12 @@ let crash_cmd =
 (* verify: the static-analysis passes (no simulation except the
    conformance runs and the lock-graph collection). *)
 
-let run_verify reach progs locks dead fault bound seeds =
+let run_verify reach locks dead fault bound seeds =
   let module Verify = Shasta_verify in
   let module Reach = Verify.Reach in
   (* No pass selected = every pass. *)
-  let all = (not reach) && (not progs) && not locks in
-  let reach = reach || all and progs = progs || all and locks = locks || all in
+  let all = (not reach) && not locks in
+  let reach = reach || all and locks = locks || all in
   let rc = ref 0 in
   if reach then begin
     let explore ?fault ?(stop = false) ?(crashes = false) () =
@@ -651,20 +651,6 @@ let run_verify reach progs locks dead fault bound seeds =
           if r.Shasta_check.Conformance.mismatches <> [] then rc := 1)
         reports
   end;
-  if progs then begin
-    let manifest = Registry.kernel_manifest () in
-    match Registry.verify_kernels () with
-    | [] ->
-      Printf.printf "progs: %d kernel access programs verified\n"
-        (List.length manifest)
-    | findings ->
-      List.iter
-        (fun (name, f) ->
-          Printf.printf "progs: %s: %s\n" name
-            (Shasta_verify.Progcheck.describe_finding f))
-        findings;
-      rc := 1
-  end;
   if locks then begin
     let g = Shasta_verify.Lockgraph.create () in
     List.iter
@@ -705,14 +691,6 @@ let reach_arg =
            fault injections must be exposed with a counterexample, and the \
            litmus scenarios' runs must conform to the model's label \
            vocabulary.")
-
-let progs_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "progs" ]
-        ~doc:
-          "Statically verify every registered kernel access program: \
-           in-bounds, aligned, well-formed, charge-consistent.")
 
 let locks_arg =
   Arg.(
@@ -757,10 +735,9 @@ let verify_cmd =
     (Cmd.info "verify"
        ~doc:
          "Static analyses: exhaustive protocol-model checking with \
-          conformance against real runs, access-program verification, and \
-          lock-order deadlock analysis")
+          conformance against real runs, and lock-order deadlock analysis")
     Term.(
-      const run_verify $ reach_arg $ progs_verify_arg $ locks_arg $ dead_arg
+      const run_verify $ reach_arg $ locks_arg $ dead_arg
       $ verify_fault_arg $ bound_arg $ seeds_arg)
 
 let trace_proc_arg =

@@ -187,8 +187,8 @@ let integrate mem g i =
   done
 
 (* [integrate] can be overridden with an equivalent per-body routine —
-   the DSM body substitutes a compiled access program; the sequential
-   reference keeps the closure form. *)
+   the DSM body substitutes the {!Kernels.barnes_integrate} kernel; the
+   sequential reference keeps this form. *)
 let run_step ?integrate:integ mem g ~lo ~hi ~build ~sync =
   let integ =
     match integ with None -> fun i -> integrate mem g i | Some f -> f

@@ -494,9 +494,9 @@ let instance ?(vg = false) ?(scale = 1.0) () =
               loadi = (fun s -> Dsm.load_int ctx (addr_of_slot s));
               storei = (fun s v -> Dsm.store_int ctx (addr_of_slot s) v);
               (* Expansion vectors live contiguously inside one
-                 allocation region, so the whole transfer is one access
-                 program over [base0 + 8*i] (see Kernels); odd-sized
-                 vectors (none today) would fall back to the loop. *)
+                 allocation region, so the whole transfer is one kernel
+                 over [base0 + 8*i] (see Kernels); odd-sized vectors
+                 (none today) would fall back to the loop. *)
               read_vec =
                 (let rd = Kernels.vec_read ~k:coeff_floats in
                  fun s k ->

@@ -1,161 +1,89 @@
-(* Compiled access programs for the app kernels' hot loops.
+(* The app kernels' hot loops as {!Shasta_core.Dsm.Prog} closures.
 
-   Each builder flattens one app's innermost loop body into a
-   {!Shasta_core.Dsm.Prog} instruction list whose memory-op order and
-   floating-point expression shapes replicate the closure formulation it
-   replaces exactly (OCaml evaluates operator arguments right to left,
-   so e.g. [a +. (b *. dt)] issues the [b] load first) — the observed
-   interpreter replays the closure's hook stream verbatim and the values
-   are bit-identical. Programs carry a per-processor register file:
-   build them inside the parallel body, once per [ctx], never shared. *)
+   Each kernel issues the memory ops of the loop body it stands for in
+   the same order, and computes the same floating-point expressions, so
+   the values and the virtual time are those of the plain loop. Loads
+   are sequenced with explicit [let]s. *)
 
 module Dsm = Shasta_core.Dsm
-open Dsm.Prog
+
+let wrap q box = if q < 0.0 then q +. box else if q >= box then q -. box else q
 
 (* Water integrate (both water-nsq and water-sp), one molecule per run:
    for d in 0..2, advance velocity by the accumulated force, advance the
    wrapped position, clear the force. Raw ops; run inside the molecule's
    batch with [base0] = the molecule's first field. *)
-let water_integrate ~dt ~box ~flop_cycles =
-  let instrs =
-    List.concat
-      (List.init 3 (fun d ->
-           [
-             Ldf (0, 0, 8 * (6 + d));
-             Mulk (0, 0, 0) (* f *. dt *);
-             Ldf (1, 0, 8 * (3 + d));
-             Add (1, 1, 0) (* v' = v +. f*.dt *);
-             Stf (1, 0, 8 * (3 + d));
-             Mulk (0, 1, 0) (* v' *. dt *);
-             Ldf (2, 0, 8 * d);
-             Add (2, 2, 0) (* x +. v'*.dt *);
-             Wrap (2, 1);
-             Stf (2, 0, 8 * d);
-             Movk (3, 2);
-             Stf (3, 0, 8 * (6 + d)) (* f <- 0 *);
-             Charge (4 * flop_cycles);
-           ]))
-  in
-  compile ~consts:[| dt; box; 0.0 |] ~nregs:4 instrs
+let water_integrate ~dt ~box ~flop_cycles : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux:_ ~base0:m ~base1:_ ~base2:_ ->
+  for d = 0 to 2 do
+    let f = Dsm.Batch.load_float ctx (m + (8 * (6 + d))) in
+    let v = Dsm.Batch.load_float ctx (m + (8 * (3 + d))) +. (f *. dt) in
+    Dsm.Batch.store_float ctx (m + (8 * (3 + d))) v;
+    let x = Dsm.Batch.load_float ctx (m + (8 * d)) +. (v *. dt) in
+    Dsm.Batch.store_float ctx (m + (8 * d)) (wrap x box);
+    Dsm.Batch.store_float ctx (m + (8 * (6 + d))) 0.0;
+    Dsm.compute ctx (4 * flop_cycles)
+  done
 
 (* Barnes integrate: the same velocity/position update without the
    periodic wrap, over checked accesses (the real Barnes does not batch
    its integrate phase). [base0] = the body's first slot address. *)
-let barnes_integrate ~dt ~flop_cycles =
-  let instrs =
-    List.concat
-      (List.init 3 (fun d ->
-           [
-             Cldf (0, 0, 8 * (6 + d));
-             Mulk (0, 0, 0);
-             Cldf (1, 0, 8 * (3 + d));
-             Add (1, 1, 0);
-             Cstf (1, 0, 8 * (3 + d));
-             Mulk (0, 1, 0);
-             Cldf (2, 0, 8 * d);
-             Add (2, 2, 0);
-             Cstf (2, 0, 8 * d);
-             Charge (4 * flop_cycles);
-           ]))
-  in
-  compile ~consts:[| dt |] ~nregs:3 instrs
-
-let rec range_by2 j n = if j > n then [] else j :: range_by2 (j + 2) n
+let barnes_integrate ~dt ~flop_cycles : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux:_ ~base0:b ~base1:_ ~base2:_ ->
+  for d = 0 to 2 do
+    let f = Dsm.load_float ctx (b + (8 * (6 + d))) in
+    let v = Dsm.load_float ctx (b + (8 * (3 + d))) +. (f *. dt) in
+    Dsm.store_float ctx (b + (8 * (3 + d))) v;
+    let x = Dsm.load_float ctx (b + (8 * d)) +. (v *. dt) in
+    Dsm.store_float ctx (b + (8 * d)) x;
+    Dsm.compute ctx (4 * flop_cycles)
+  done
 
 (* Ocean red-black SOR row: one batched stencil update per matching-
    parity column. [jstart] (1 or 2) selects the column parity; bases:
    [base0] = row i-1, [base1] = row i+1, [base2] = row i; [aux] = the
    pre-read right-hand-side row. *)
-let ocean_row ~n ~jstart ~omega ~cell_cycles =
-  let instrs =
-    List.concat_map
-      (fun j ->
-        [
-          (* Loads in the closure's right-to-left order: (i,j+1),
-             (i,j-1), (i+1,j), (i-1,j). *)
-          Ldf (3, 2, 8 * (j + 1));
-          Ldf (2, 2, 8 * (j - 1));
-          Ldf (1, 1, 8 * j);
-          Ldf (0, 0, 8 * j);
-          Add (0, 0, 1);
-          Add (0, 0, 2);
-          Add (0, 0, 3);
-          Auxld (4, j);
-          Sub (0, 0, 4);
-          Mulk (0, 0, 0) (* 0.25 *);
-          Ldf (5, 2, 8 * j) (* old *);
-          Mulk (5, 5, 1) (* (1-omega) *. old *);
-          Mulk (0, 0, 2) (* omega *. v *);
-          Add (5, 5, 0);
-          Stf (5, 2, 8 * j);
-          Charge cell_cycles;
-        ])
-      (range_by2 jstart n)
-  in
-  compile ~consts:[| 0.25; 1.0 -. omega; omega |] ~nregs:6 instrs
+let ocean_row ~n ~jstart ~omega ~cell_cycles : Dsm.Prog.t =
+  let keep = 1.0 -. omega in
+  fun ctx ~s:_ ~aux ~base0 ~base1 ~base2 ->
+    let j = ref jstart in
+    while !j <= n do
+      let jj = !j in
+      (* The loop this stands for summed the four neighbours in one
+         expression, which OCaml evaluates right to left. *)
+      let right = Dsm.Batch.load_float ctx (base2 + (8 * (jj + 1))) in
+      let left = Dsm.Batch.load_float ctx (base2 + (8 * (jj - 1))) in
+      let below = Dsm.Batch.load_float ctx (base1 + (8 * jj)) in
+      let above = Dsm.Batch.load_float ctx (base0 + (8 * jj)) in
+      let v = (above +. below +. left +. right -. aux.(jj)) *. 0.25 in
+      let old = Dsm.Batch.load_float ctx (base2 + (8 * jj)) in
+      Dsm.Batch.store_float ctx (base2 + (8 * jj))
+        ((old *. keep) +. (v *. omega));
+      Dsm.compute ctx cell_cycles;
+      j := jj + 2
+    done
 
 (* Ocean right-hand-side row prefetch: checked loads of the matching-
    parity columns into [aux] (the host-side coefficient row). [base0] =
    the rhs row's first cell. *)
-let ocean_rhs_row ~n ~jstart =
-  let instrs =
-    List.concat_map
-      (fun j -> [ Cldf (0, 0, 8 * j); Auxst (0, j) ])
-      (range_by2 jstart n)
-  in
-  compile ~nregs:1 instrs
+let ocean_rhs_row ~n ~jstart : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  let j = ref jstart in
+  while !j <= n do
+    aux.(!j) <- Dsm.load_float ctx (base0 + (8 * !j));
+    j := !j + 2
+  done
 
 (* FMM expansion-vector transfers: [k] raw loads into [aux], or [k] raw
    stores out of it. [base0] = the vector's first slot address. *)
-let vec_read ~k =
-  compile ~nregs:1
-    (List.concat (List.init k (fun i -> [ Ldf (0, 0, 8 * i); Auxst (0, i) ])))
+let vec_read ~k : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  for i = 0 to k - 1 do
+    aux.(i) <- Dsm.Batch.load_float ctx (base0 + (8 * i))
+  done
 
-let vec_write ~k =
-  compile ~nregs:1
-    (List.concat (List.init k (fun i -> [ Auxld (0, i); Stf (0, 0, 8 * i) ])))
-
-(* ------------------------------------------------------------------ *)
-
-(* Every program shape the apps compile, built with the parameters the
-   default-scale instances pass (the literals mirror the private
-   constants of water_nsq/water_sp, barnes, ocean and fmm), paired with
-   the extents of the regions the app runs it against. The static
-   verifier proves each one in-bounds, aligned and charge-consistent
-   before any simulation uses it. *)
-let manifest () =
-  let spec = Shasta_verify.Progcheck.spec in
-  (* Molecule/body record: 3 positions, 3 velocities, 3 forces. *)
-  let mol = 8 * 9 in
-  (* Ocean interior size at default scale; rows have n + 2 cells. *)
-  let n = 256 in
-  let row = 8 * (n + 2) in
-  let grid = spec ~base0:row ~base1:row ~base2:row ~aux:(n + 1) () in
-  (* FMM expansion vectors: 2 floats per term, p = 12. *)
-  let k = 2 * 13 in
-  let vec = spec ~base0:(8 * k) ~aux:k () in
-  [
-    ( "water.integrate",
-      water_integrate ~dt:0.004 ~box:6.0 ~flop_cycles:6,
-      spec ~base0:mol () );
-    ("barnes.integrate", barnes_integrate ~dt:0.02 ~flop_cycles:6,
-      spec ~base0:mol ());
-    ("ocean.sor-row.red", ocean_row ~n ~jstart:2 ~omega:1.5 ~cell_cycles:60,
-      grid);
-    ("ocean.sor-row.black", ocean_row ~n ~jstart:1 ~omega:1.5 ~cell_cycles:60,
-      grid);
-    ("ocean.rhs-row.red", ocean_rhs_row ~n ~jstart:2,
-      spec ~base0:row ~aux:(n + 1) ());
-    ("ocean.rhs-row.black", ocean_rhs_row ~n ~jstart:1,
-      spec ~base0:row ~aux:(n + 1) ());
-    ("fmm.vec-read", vec_read ~k, vec);
-    ("fmm.vec-write", vec_write ~k, vec);
-    (* LU's daxpy row lives in Dsm.Prog itself; bsz = 16 is both lu
-       variants' block size. *)
-    ( "lu.fms-row",
-      Dsm.Prog.fms_row ~len:16 ~cost:6,
-      spec ~base0:(8 * 16) ~base1:(8 * 16) () );
-    ( "lu.fms-row.2x",
-      Dsm.Prog.fms_row ~len:16 ~cost:12,
-      spec ~base0:(8 * 16) ~base1:(8 * 16) () );
-  ]
+let vec_write ~k : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  for i = 0 to k - 1 do
+    Dsm.Batch.store_float ctx (base0 + (8 * i)) aux.(i)
+  done

@@ -1,12 +1,9 @@
-(** Compiled access programs for the app kernels' hot loops.
+(** The app kernels' hot loops as {!Shasta_core.Dsm.Prog} closures.
 
-    Each builder flattens one app's innermost loop body into a
-    {!Shasta_core.Dsm.Prog} whose memory-op order and floating-point
-    expression shapes replicate the closure formulation it replaces
-    exactly, so the observed interpreter replays the closure's hook
-    stream verbatim and the computed values are bit-identical.
-    Programs carry a per-processor register file: build them inside
-    the parallel body, once per [ctx], never shared. *)
+    Each kernel issues the memory ops of the loop body it stands for in
+    the same order and computes the same floating-point expressions, so
+    the values and the virtual time are those of the plain loop. A
+    kernel holds no per-processor state and may be shared. *)
 
 module Dsm = Shasta_core.Dsm
 
@@ -35,10 +32,3 @@ val vec_read : k:int -> Dsm.Prog.t
 
 val vec_write : k:int -> Dsm.Prog.t
 (** [k] raw stores from [aux] out to [base0]. *)
-
-val manifest :
-  unit -> (string * Dsm.Prog.t * Shasta_verify.Progcheck.spec) list
-(** Every program shape above, built with the default-scale parameters
-    the apps pass, each paired with the extents it runs against — the
-    input to {!Registry.verify_kernels} and
-    [shasta_cli verify --progs]. *)

@@ -12,6 +12,9 @@ type t = {
   locks : int array;
   appended : int array;  (** successful runtime inserts per bucket *)
   preload : int array;  (** preload occupancy per bucket *)
+  get_k : Dsm.Prog.t array;  (** slot -> probe+get kernel *)
+  put_k : Dsm.Prog.t array;
+  rmw_k : Dsm.Prog.t array;
 }
 
 (* SplitMix64-style finalizer: spreads sequential keys across buckets so
@@ -59,6 +62,31 @@ let count_addr t b = bucket_addr t b + count_off
 let key_addr t b s = bucket_addr t b + key_off s
 let val_addr t b s = bucket_addr t b + val_off s
 
+(* Kernels for a key at slot [slot], [base0] = the bucket: the exact
+   access sequence of [probe_in] when it finds the key (count cell, then
+   keys 0..slot), then the value cell. *)
+let probe_to ctx base slot =
+  ignore (Dsm.load_float ctx (base + count_off) : float);
+  for j = 0 to slot do
+    ignore (Dsm.load_float ctx (base + key_off j) : float)
+  done
+
+let get_kernel slot : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  probe_to ctx base0 slot;
+  aux.(1) <- Dsm.load_float ctx (base0 + val_off slot)
+
+let put_kernel slot : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  probe_to ctx base0 slot;
+  Dsm.store_float ctx (base0 + val_off slot) aux.(0)
+
+let rmw_kernel slot : Dsm.Prog.t =
+ fun ctx ~s:_ ~aux ~base0 ~base1:_ ~base2:_ ->
+  probe_to ctx base0 slot;
+  let v = Dsm.load_float ctx (base0 + val_off slot) in
+  Dsm.store_float ctx (base0 + val_off slot) (v +. aux.(0))
+
 let create h ?block_size ?(slack = 2) ~nbuckets ~records ~extra_keys ~value0 ()
     =
   let { nbuckets; bcap; bytes } = plan ~slack ~nbuckets ~records () in
@@ -77,6 +105,9 @@ let create h ?block_size ?(slack = 2) ~nbuckets ~records ~extra_keys ~value0 ()
       locks;
       appended = Array.make nbuckets 0;
       preload = occ;
+      get_k = Array.init bcap get_kernel;
+      put_k = Array.init bcap put_kernel;
+      rmw_k = Array.init bcap rmw_kernel;
     }
   in
   for k = 0 to records - 1 do
@@ -130,58 +161,9 @@ let append_in t ctx ~key v =
       Some n
     end
 
-(* Compiled probe for a key at slot [s]: the exact access sequence of
-   [probe_in] when it finds the key — count cell, then keys 0..s. *)
-let probe_instrs s =
-  let open Dsm.Prog in
-  Cldf (0, 0, count_off)
-  :: List.init (s + 1) (fun j -> Cldf (0, 0, key_off j))
-
-let progs_get_cap bcap =
-  Array.init bcap (fun s ->
-      Dsm.Prog.compile ~nregs:2
-        (probe_instrs s
-        @ [ Dsm.Prog.Cldf (0, 0, val_off s); Dsm.Prog.Auxst (0, 1) ]))
-
-let progs_put_cap bcap =
-  Array.init bcap (fun s ->
-      Dsm.Prog.compile ~nregs:2
-        (probe_instrs s
-        @ [ Dsm.Prog.Auxld (1, 0); Dsm.Prog.Cstf (1, 0, val_off s) ]))
-
-let progs_rmw_cap bcap =
-  Array.init bcap (fun s ->
-      Dsm.Prog.compile ~nregs:2
-        (probe_instrs s
-        @ Dsm.Prog.
-            [
-              Cldf (0, 0, val_off s);
-              Auxld (1, 0);
-              Add (0, 0, 1);
-              Cstf (0, 0, val_off s);
-            ]))
-
-let progs_get (t : t) = progs_get_cap t.bcap
-let progs_put (t : t) = progs_put_cap t.bcap
-let progs_rmw (t : t) = progs_rmw_cap t.bcap
-
-(* The op-class programs at a representative capacity, paired with the
-   extents they run against, for the static verifier. Any capacity
-   exercises every offset shape (slot [s] touches the count cell, keys
-   0..[s] and value [s]), so one small table stands in for them all. *)
-let prog_manifest () =
-  let bcap = 4 in
-  let stride = 8 * (1 + (2 * bcap)) in
-  let spec = Shasta_verify.Progcheck.spec ~base0:stride ~aux:2 () in
-  let table kind ps =
-    Array.to_list
-      (Array.mapi
-         (fun s p -> (Printf.sprintf "kv.%s.slot%d" kind s, p, spec))
-         ps)
-  in
-  table "get" (progs_get_cap bcap)
-  @ table "put" (progs_put_cap bcap)
-  @ table "rmw" (progs_rmw_cap bcap)
+let progs_get t = t.get_k
+let progs_put t = t.put_k
+let progs_rmw t = t.rmw_k
 
 let run_prog t ctx p ~bucket ~aux =
   Dsm.Prog.run ctx p ~s:0.0 ~aux ~base0:(bucket_addr t bucket) ~base1:0

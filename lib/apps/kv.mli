@@ -5,9 +5,8 @@
     [count; key0; val0; key1; val1; ...] with capacity [bcap] slots, one
     {!Shasta_core.Dsm} lock per bucket. Every cell is a float (keys are
     small integers, exactly representable), so the probe sequences of
-    get/put/rmw compile to checked {!Shasta_core.Dsm.Prog} access
-    programs when the layout is static (no inserts) — the YCSB harness'
-    fast path.
+    get/put/rmw are checked {!Shasta_core.Dsm.Prog} kernels when the
+    layout is static (no inserts) — the YCSB harness' default path.
 
     Two access layers:
     - {e primitives} ([probe_in], [read_slot], [write_slot],
@@ -63,7 +62,7 @@ val slot_of : t -> int -> int
 
 val charge_hash : t -> Dsm.ctx -> unit
 (** Model the key-hash computation (a fixed handful of cycles). Both
-    the closure and the compiled paths charge it once per probe. *)
+    the primitive and the kernel paths charge it once per probe. *)
 
 val lock : t -> Dsm.ctx -> int -> unit
 val unlock : t -> Dsm.ctx -> int -> unit
@@ -71,8 +70,8 @@ val unlock : t -> Dsm.ctx -> int -> unit
 (** {1 In-bucket primitives}
 
     All assume the caller holds [lock t ctx bucket]. Their simulated
-    access sequences are the contract the compiled programs replicate:
-    a probe loads the bucket count, then key cells [0..s] in order. *)
+    access sequences are the contract the kernels replicate: a probe
+    loads the bucket count, then key cells [0..s] in order. *)
 
 val probe_in : t -> Dsm.ctx -> int -> [ `Found of int | `Absent of int ]
 (** Probe for a key: [`Found slot], or [`Absent count] after loading
@@ -95,29 +94,21 @@ val preloaded : t -> int array
 (** Per-bucket preload occupancy, so a final count cell must equal
     [preloaded.(b) + appended.(b)]. *)
 
-(** {1 Compiled access programs}
+(** {1 Kernels}
 
-    Checked programs equivalent to probe+get / probe+put / probe+rmw on
-    a key living at slot [s]: load count, load keys [0..s], then read
-    the value cell / store [aux.(0)] to it / add [aux.(0)] into it. The
-    get program additionally deposits the loaded value in [aux.(1)]
-    (free, like every register move) so the caller can oracle-check
-    compiled reads. Valid only while the layout is static (no
-    concurrent inserts). Programs carry a per-processor register file:
-    build one table per [ctx] inside the body, never share across
-    processors. *)
+    Checked kernels equivalent to probe+get / probe+put / probe+rmw on
+    a key living at slot [s] (index [s] of each array): load count,
+    load keys [0..s], then read the value cell / store [aux.(0)] to it /
+    add [aux.(0)] into it. The get kernel also deposits the loaded
+    value in [aux.(1)] so the caller can oracle-check reads. Valid only
+    while the layout is static (no concurrent inserts). Built once per
+    table; every processor may share them. *)
 
 val progs_get : t -> Dsm.Prog.t array
 val progs_put : t -> Dsm.Prog.t array
 val progs_rmw : t -> Dsm.Prog.t array
 
 val run_prog : t -> Dsm.ctx -> Dsm.Prog.t -> bucket:int -> aux:float array -> unit
-
-val prog_manifest :
-  unit -> (string * Dsm.Prog.t * Shasta_verify.Progcheck.spec) list
-(** The get/put/rmw program tables at a representative bucket capacity,
-    each paired with the extents it runs against, for
-    [shasta_cli verify --progs] and {!Registry.verify_kernels}. *)
 
 (** {1 Post-run inspection} *)
 

@@ -107,10 +107,8 @@ let div_row_block ctx layout ~bsz ~k ~j =
 (* A(i,j) -= A(i,k) * A(k,j), batched per (r, m) row pair as the real
    Shasta batches the straight-line daxpy inner loop — one combined
    check per destination/source row, with the multiplier loaded through
-   an ordinary (checked) float load. The row kernel is compiled once per
-   block into an access program ({!Dsm.Prog}), so the dominant inner
-   loop of the whole workload interprets flat ints instead of
-   dispatching closures. *)
+   an ordinary (checked) float load. The row is the {!Dsm.Prog.fms_row}
+   kernel. *)
 let update_block ctx layout ~bsz ~k ~i ~j =
   let a r m = layout.addr ((i * bsz) + r) ((k * bsz) + m) in
   let b m c = layout.addr ((k * bsz) + m) ((j * bsz) + c) in

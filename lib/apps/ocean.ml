@@ -84,12 +84,12 @@ let instance ?(vg = false) ?(scale = 1.0) () =
           let p = Dsm.pid ctx in
           let lo = row_lo p and hi = row_hi p in
           let row_bytes = dim * 8 in
-          (* The row sweep compiled to access programs, one per column
-             parity (see Kernels): the stencil as a raw in-batch
-             program, the coefficient prefetch as a checked program —
-             the coefficient grid is read through ordinary (unbatched)
-             checked loads, like the multiple right-hand-side grids of
-             the real Ocean. *)
+          (* The row sweep as kernels, one per column parity (see
+             Kernels): the stencil as a raw in-batch kernel, the
+             coefficient prefetch as a checked kernel — the coefficient
+             grid is read through ordinary (unbatched) checked loads,
+             like the multiple right-hand-side grids of the real
+             Ocean. *)
           let row_p =
             [|
               Kernels.ocean_row ~n ~jstart:2 ~omega ~cell_cycles;

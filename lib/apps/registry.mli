@@ -6,20 +6,7 @@ val all : (string * App.maker) list
     raytrace, volrend, water-nsq, water-sp — followed by "kv". *)
 
 val find : string -> App.maker
-(** Raises [Not_found] for unknown names. The first lookup statically
-    verifies every compiled kernel program ({!verify_kernels}) and
-    raises [Failure] if any is rejected, so a bad kernel fails before
-    any simulation runs it. *)
-
-val kernel_manifest :
-  unit ->
-  (string * Shasta_core.Dsm.Prog.t * Shasta_verify.Progcheck.spec) list
-(** Every compiled access program the registered apps can hand to the
-    engine — {!Kernels.manifest} plus {!Kv.prog_manifest} — with the
-    extents each runs against. *)
-
-val verify_kernels : unit -> (string * Shasta_verify.Progcheck.finding) list
-(** Static findings over {!kernel_manifest}; empty = all verified. *)
+(** Raises [Not_found] for unknown names. *)
 
 val names : string list
 

@@ -123,7 +123,7 @@ let instance ?(vg = false) ?(scale = 1.0) () =
             done;
             Dsm.barrier ctx bar;
             (* Integrate own molecules (the velocity/position update
-               compiled to an access program; see Kernels). *)
+               as a kernel; see Kernels). *)
             for i = lo to hi - 1 do
               Dsm.batch ctx
                 [ (fld i 0, W.mol_bytes, Dsm.W) ]

@@ -16,25 +16,10 @@ type t = {
   mutable violations : Inspect.violation list;  (* newest first *)
 }
 
-let state_rank = function
-  | State_table.Invalid -> 0
-  | State_table.Shared -> 1
-  | State_table.Exclusive -> 2
-
 let push t block subject what =
   t.nviolations <- t.nviolations + 1;
   if t.nviolations <= t.limit then
     t.violations <- { Inspect.block; subject; what } :: t.violations
-
-let block_in_batch t ns block =
-  let layout = t.m.Machine.layout in
-  let first = Layout.line_of layout block in
-  let n = Machine.block_size t.m block / layout.Layout.line_size in
-  let hit = ref false in
-  for l = first to first + n - 1 do
-    if Hashtbl.mem ns.Machine.batch_lines l then hit := true
-  done;
-  !hit
 
 (* Every node-state transition re-checks the cross-node copy invariants
    for the affected block, the private-table discipline of the node that
@@ -68,12 +53,15 @@ let check_state t ~node ~block ~from_ ~to_ =
     if !valid = 0 then push t block Inspect.Machine_wide "no valid copy anywhere"
   end;
   let ns = m.Machine.nodes.(node) in
-  if state_rank to_ < state_rank from_ && not (block_in_batch t ns block) then
+  if
+    State_table.rank to_ < State_table.rank from_
+    && not (Machine.block_in_batch m ns block)
+  then
     List.iter
       (fun p ->
         if
-          state_rank (State_table.get m.Machine.privates.(p) line)
-          > state_rank to_
+          State_table.rank (State_table.get m.Machine.privates.(p) line)
+          > State_table.rank to_
         then
           push t block (Inspect.Proc p)
             (Printf.sprintf "private state above %s after node %d downgrade"
@@ -87,7 +75,7 @@ let check_state t ~node ~block ~from_ ~to_ =
   if
     to_ = State_table.Invalid
     && (not (Hashtbl.mem ns.Machine.deferred_flags block))
-    && (not (block_in_batch t ns block))
+    && (not (Machine.block_in_batch m ns block))
     && Miss_table.find ns.Machine.misses ~block = None
   then begin
     let size = Machine.block_size m block in
@@ -103,14 +91,15 @@ let check_state t ~node ~block ~from_ ~to_ =
 
 let check_private t ~proc ~block ~from_ ~to_ =
   t.events <- t.events + 1;
-  if state_rank to_ > state_rank from_ then begin
+  if State_table.rank to_ > State_table.rank from_ then begin
     let m = t.m in
     let node = Machine.node_of m proc in
     let ns = m.Machine.nodes.(node) in
     let line = Layout.line_of m.Machine.layout block in
     if
-      (not (block_in_batch t ns block))
-      && state_rank to_ > state_rank (State_table.get ns.Machine.table line)
+      (not (Machine.block_in_batch m ns block))
+      && State_table.rank to_
+         > State_table.rank (State_table.get ns.Machine.table line)
     then
       push t block (Inspect.Proc proc)
         (Printf.sprintf "private raised above node %d shared state" node)

@@ -45,9 +45,9 @@ type t = private {
           variable. *)
   fastpath : bool;
       (** enable the fused inline-check fast path (hit checks resolved
-          against a single state-table byte, batched per-line checks in
-          access programs) with cycle accounting deferred to a
-          per-processor accumulator. Simulated results are bit-identical
+          against a single state-table byte, batched per-line checks)
+          with cycle accounting deferred to a per-processor
+          accumulator. Simulated results are bit-identical
           either way; off exists so CI can diff fast vs. reference.
           Defaults to the [SHASTA_FASTPATH] environment variable
           (default on; ["0"] disables). *)

@@ -70,13 +70,19 @@ let peek_int h addr = Image.load_int (peek_image h addr) addr
    virtual time the per-access accounting would have produced — cycles,
    stats and message timings are bit-identical. The one visible
    difference is host-side only: a [Cycle_limit] for a budget exhausted
-   mid-run is raised at the flush instead of mid-access, at the same
-   virtual cycle the fused [Prog] charge (PR 6) already established as
-   the contract. *)
+   mid-run is raised at the flush instead of mid-access.
+
+   [declared] holds the ranges of the current reference batch window:
+   with [sanitize] on, the reference [Batch] accessors check every raw
+   access against them. *)
+type access = R | W
+
 type ctx = {
   p : Protocol.ctx;
   mutable in_batch : bool;
   fast : bool;
+  sanitize : bool;
+  mutable declared : (int * int * access) list;
   ps : Machine.proc_state;
   st : Stats.t;
   image : Image.t;  (** this processor's node image *)
@@ -107,6 +113,8 @@ let make_ctx m p ~fast =
     p;
     in_batch = false;
     fast = fast && cfg.Config.fastpath && m.Machine.observer = None;
+    sanitize = cfg.Config.sanitize > 0;
+    declared = [];
     ps;
     st = ps.Machine.stats;
     image = Protocol.node_image p;
@@ -400,13 +408,12 @@ let store_int ctx addr v =
   end
   else store64_ref ctx addr (Int64.of_int v)
 
-type access = R | W
-
 (* Reference batch window: collect the declared ranges, enter the
    protocol's batch machinery (mark lines, fetch what's missing,
    register write pieces), run the body, then unwind (replay pieces
    whose blocks lost exclusivity, unmark, stamp deferred flags). *)
 let batch_slow ctx ranges f =
+  ctx.declared <- ranges;
   let ranges =
     List.map
       (fun (addr, len, a) ->
@@ -523,6 +530,41 @@ let batch ctx ranges f =
     batch_slow ctx ranges f
   end
 
+(* Under the sanitizer, the reference path holds every raw access to
+   its batch's declaration (§3.4.4): 8-byte aligned, all 8 bytes inside
+   one declared range, and a store inside a range declared [W]. *)
+let check_raw ctx ~store addr =
+  let inside (a, len, _) = a <= addr && addr + 8 <= a + len in
+  let writable ((_, _, a) as r) = a = W && inside r in
+  let fault =
+    if addr land 7 <> 0 then Some "misaligned"
+    else if not (List.exists inside ctx.declared) then
+      Some "outside the declared ranges"
+    else if store && not (List.exists writable ctx.declared) then
+      Some "into a range declared R"
+    else None
+  in
+  match fault with
+  | None -> ()
+  | Some why ->
+    let m = Protocol.machine ctx.p in
+    let block =
+      if Layout.valid_addr ctx.layout addr then Machine.block_base m addr
+      else addr
+    in
+    raise
+      (Inspect.Violation
+         [
+           {
+             Inspect.block;
+             subject = Inspect.Proc (pid ctx);
+             what =
+               Printf.sprintf "raw %s at %#x %s"
+                 (if store then "store" else "load")
+                 addr why;
+           };
+         ])
+
 module Batch = struct
   let raw_cost = 1
 
@@ -534,6 +576,7 @@ module Batch = struct
       Image.load_float ctx.image addr
     end
     else begin
+      if ctx.sanitize then check_raw ctx ~store:false addr;
       Protocol.charge ctx.p raw_cost;
       let v = Image.load_float ctx.image addr in
       obs_load ctx ~addr ~len:8;
@@ -548,6 +591,7 @@ module Batch = struct
       Image.store_float ctx.image addr v
     end
     else begin
+      if ctx.sanitize then check_raw ctx ~store:true addr;
       Protocol.charge ctx.p raw_cost;
       Image.store_float ctx.image addr v;
       obs_store ctx ~addr ~len:8
@@ -561,6 +605,7 @@ module Batch = struct
       Image.load_int ctx.image addr
     end
     else begin
+      if ctx.sanitize then check_raw ctx ~store:false addr;
       Protocol.charge ctx.p raw_cost;
       let v = Image.load_int ctx.image addr in
       obs_load ctx ~addr ~len:8;
@@ -575,269 +620,42 @@ module Batch = struct
       Image.store_int ctx.image addr v
     end
     else begin
+      if ctx.sanitize then check_raw ctx ~store:true addr;
       Protocol.charge ctx.p raw_cost;
       Image.store_int ctx.image addr v;
       obs_store ctx ~addr ~len:8
     end
 end
 
-(* Access programs (§3.4.1 batched checks taken to their limit): a
-   per-block access sequence compiled once into a flat int array and
-   interpreted in a tight loop, replacing per-access closure dispatch.
-   Raw programs ([Ldf]/[Stf]) run inside a batch window against the node
-   image directly; checked programs ([Cldf]/[Cstf]) run outside batches
-   and route every access through the ordinary checked load/store (which
-   is itself fused when the fast path is on). Two interpreters: with an
-   observer installed the per-op loop charges and fires hooks exactly as
-   the equivalent closure would (cycle- and event-identical); without
-   one, memory traffic runs back-to-back and a raw program's cycles are
-   charged in one lump — same total, same virtual finish time, no
-   mid-program scheduling points. The fusion leans on the batch
-   contract: nothing may race with the batched ranges for the batch's
-   duration, so nobody can observe the intermediate timing. *)
+(* Kernels (§3.4.1): an app's innermost loop body as one closure over
+   three base addresses, a scalar and host scratch. [run] counts the
+   accesses a kernel issues into [Stats.prog_accesses], so reports can
+   say how much traffic the kernels carry. *)
 module Prog = struct
-  type instr =
-    | Ldf of int * int * int  (** reg <- raw float at base(b) + off *)
-    | Stf of int * int * int  (** raw float at base(b) + off <- reg *)
-    | Cldf of int * int * int  (** reg <- checked float load *)
-    | Cstf of int * int * int  (** checked float store *)
-    | Fms of int * int  (** r(a) <- r(a) -. s *. r(b) *)
-    | Add of int * int * int  (** r(a) <- r(b) +. r(c) *)
-    | Sub of int * int * int  (** r(a) <- r(b) -. r(c) *)
-    | Mul of int * int * int  (** r(a) <- r(b) *. r(c) *)
-    | Mulk of int * int * int  (** r(a) <- r(b) *. consts.(k) *)
-    | Movk of int * int  (** r(a) <- consts.(k) *)
-    | Auxld of int * int  (** r(a) <- aux.(i) *)
-    | Auxst of int * int  (** aux.(i) <- r(a) *)
-    | Wrap of int * int  (** periodic wrap of r(a) into [0, consts.(k)) *)
-    | Charge of int  (** charge n cycles *)
-
-  type t = {
-    code : int array;
-    regs : float array;
-    consts : float array;
-    raw : bool;
-    checked : bool;
-  }
-
-  exception Prog_violation of { op : string; pc : int; detail : string }
-
-  let violation ~op ~pc detail = raise (Prog_violation { op; pc; detail })
+  type t =
+    ctx -> s:float -> aux:float array -> base0:int -> base1:int -> base2:int ->
+    unit
 
   let no_aux : float array = [||]
 
-  (* Opcodes, stride 4: op, a, b, c. *)
-  let op_ldf = 0
-  let op_stf = 1
-  let op_fms = 2
-  let op_charge = 3
-  let op_cldf = 4
-  let op_cstf = 5
-  let op_add = 6
-  let op_sub = 7
-  let op_mul = 8
-  let op_mulk = 9
-  let op_movk = 10
-  let op_auxld = 11
-  let op_auxst = 12
-  let op_wrap = 13
+  (* dst[c] <- dst[c] - s * src[c] for c in [0, len): the daxpy inner
+     row of blocked LU, raw accesses inside the caller's batch. *)
+  let fms_row ~len ~cost : t =
+   fun ctx ~s ~aux:_ ~base0 ~base1 ~base2:_ ->
+    for c = 0 to len - 1 do
+      let off = 8 * c in
+      let v = Batch.load_float ctx (base1 + off) in
+      let d = Batch.load_float ctx (base0 + off) in
+      Batch.store_float ctx (base0 + off) (d -. (s *. v));
+      compute ctx cost
+    done
 
-  let compile ?(consts = no_aux) ~nregs instrs =
-    let nconsts = Array.length consts in
-    let reg r = if r < 0 || r >= nregs then invalid_arg "Prog.compile: reg" in
-    let base b =
-      if b < 0 || b > 2 then invalid_arg "Prog.compile: base index"
-    in
-    let konst k =
-      if k < 0 || k >= nconsts then invalid_arg "Prog.compile: const index"
-    in
-    let raw = ref false and checked = ref false in
-    let n = List.length instrs in
-    let code = Array.make (4 * n) 0 in
-    List.iteri
-      (fun i instr ->
-        let k = 4 * i in
-        let emit op a b c =
-          code.(k) <- op;
-          code.(k + 1) <- a;
-          code.(k + 2) <- b;
-          code.(k + 3) <- c
-        in
-        match instr with
-        | Ldf (r, b, off) -> reg r; base b; raw := true; emit op_ldf r b off
-        | Stf (r, b, off) -> reg r; base b; raw := true; emit op_stf r b off
-        | Cldf (r, b, off) ->
-          reg r; base b; checked := true; emit op_cldf r b off
-        | Cstf (r, b, off) ->
-          reg r; base b; checked := true; emit op_cstf r b off
-        | Fms (a, b) -> reg a; reg b; emit op_fms a b 0
-        | Add (a, b, c) -> reg a; reg b; reg c; emit op_add a b c
-        | Sub (a, b, c) -> reg a; reg b; reg c; emit op_sub a b c
-        | Mul (a, b, c) -> reg a; reg b; reg c; emit op_mul a b c
-        | Mulk (a, b, k) -> reg a; reg b; konst k; emit op_mulk a b k
-        | Movk (a, k) -> reg a; konst k; emit op_movk a k 0
-        | Auxld (a, i) ->
-          reg a;
-          if i < 0 then invalid_arg "Prog.compile: aux index";
-          emit op_auxld a i 0
-        | Auxst (a, i) ->
-          reg a;
-          if i < 0 then invalid_arg "Prog.compile: aux index";
-          emit op_auxst a i 0
-        | Wrap (a, k) -> reg a; konst k; emit op_wrap a k 0
-        | Charge n ->
-          if n < 0 then invalid_arg "Prog.compile: negative charge";
-          emit op_charge n 0 0)
-      instrs;
-    if !raw && !checked then
-      invalid_arg "Prog.compile: program mixes raw and checked accesses";
-    { code; regs = Array.make nregs 0.0; consts; raw = !raw; checked = !checked }
-
-  (* Introspection for the static verifier (Shasta_verify.Progcheck):
-     a compiled program decodes back to the instruction list it was
-     built from — [compile] is a bijection up to the flat encoding. *)
-  let nregs t = Array.length t.regs
-  let consts t = t.consts
-  let uses_raw t = t.raw
-  let uses_checked t = t.checked
-
-  let decode t =
-    let n = Array.length t.code / 4 in
-    List.init n (fun i ->
-        let k = 4 * i in
-        let op = t.code.(k)
-        and a = t.code.(k + 1)
-        and b = t.code.(k + 2)
-        and c = t.code.(k + 3) in
-        if op = op_ldf then Ldf (a, b, c)
-        else if op = op_stf then Stf (a, b, c)
-        else if op = op_fms then Fms (a, b)
-        else if op = op_charge then Charge a
-        else if op = op_cldf then Cldf (a, b, c)
-        else if op = op_cstf then Cstf (a, b, c)
-        else if op = op_add then Add (a, b, c)
-        else if op = op_sub then Sub (a, b, c)
-        else if op = op_mul then Mul (a, b, c)
-        else if op = op_mulk then Mulk (a, b, c)
-        else if op = op_movk then Movk (a, b)
-        else if op = op_auxld then Auxld (a, b)
-        else if op = op_auxst then Auxst (a, b)
-        else if op = op_wrap then Wrap (a, b)
-        else
-          violation ~op:(string_of_int op) ~pc:i "unknown opcode in decode")
-
-  let fms_row ~len ~cost =
-    (* dst[c] <- dst[c] - s * src[c] for c in [0, len): the daxpy inner
-       row of blocked LU. Ops are emitted in the evaluation order of the
-       closure formulation (src load, dst load, multiply-subtract, dst
-       store, flop charge) so the observed interpreter replays its event
-       stream exactly. *)
-    let instrs =
-      List.concat
-        (List.init len (fun j ->
-             let off = 8 * j in
-             [ Ldf (0, 1, off); Ldf (1, 0, off); Fms (1, 0);
-               Stf (1, 0, off); Charge cost ]))
-    in
-    compile ~nregs:2 instrs
-
-  let run ctx t ~s ~aux ~base0 ~base1 ~base2 =
-    assert ((not t.raw) || ctx.in_batch);
-    assert ((not t.checked) || not ctx.in_batch);
-    let code = t.code and regs = t.regs and consts = t.consts in
-    let n = Array.length code in
+  let run ctx (k : t) ~s ~aux ~base0 ~base1 ~base2 =
     let st = ctx.st in
-    let base b = if b = 0 then base0 else if b = 1 then base1 else base2 in
-    match (Protocol.machine ctx.p).Machine.observer with
-    | Some _ ->
-      (* Per-op reference dispatch: exactly the charges and hooks the
-         closure formulation produces. *)
-      let k = ref 0 in
-      while !k < n do
-        let a = code.(!k + 1) and b = code.(!k + 2) and c = code.(!k + 3) in
-        (match code.(!k) with
-        | 0 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          regs.(a) <- Batch.load_float ctx (base b + c)
-        | 1 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          Batch.store_float ctx (base b + c) regs.(a)
-        | 2 -> regs.(a) <- regs.(a) -. (s *. regs.(b))
-        | 3 -> compute ctx a
-        | 4 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          regs.(a) <- load_float ctx (base b + c)
-        | 5 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          store_float ctx (base b + c) regs.(a)
-        | 6 -> regs.(a) <- regs.(b) +. regs.(c)
-        | 7 -> regs.(a) <- regs.(b) -. regs.(c)
-        | 8 -> regs.(a) <- regs.(b) *. regs.(c)
-        | 9 -> regs.(a) <- regs.(b) *. consts.(c)
-        | 10 -> regs.(a) <- consts.(b)
-        | 11 -> regs.(a) <- aux.(b)
-        | 12 -> aux.(b) <- regs.(a)
-        | 13 ->
-          let q = regs.(a) and box = consts.(b) in
-          regs.(a) <-
-            (if q < 0.0 then q +. box
-             else if q >= box then q -. box
-             else q)
-        | op ->
-          violation ~op:(string_of_int op) ~pc:(!k / 4)
-            "unknown opcode (observed interpreter)");
-        k := !k + 4
-      done
-    | None ->
-      let img = ctx.image in
-      let total = ref 0 in
-      let k = ref 0 in
-      while !k < n do
-        let a = code.(!k + 1) and b = code.(!k + 2) and c = code.(!k + 3) in
-        (match code.(!k) with
-        | 0 ->
-          st.Stats.accesses <- st.Stats.accesses + 1;
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          regs.(a) <- Image.load_float img (base b + c);
-          total := !total + Batch.raw_cost
-        | 1 ->
-          st.Stats.accesses <- st.Stats.accesses + 1;
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          Image.store_float img (base b + c) regs.(a);
-          total := !total + Batch.raw_cost
-        | 2 -> regs.(a) <- regs.(a) -. (s *. regs.(b))
-        | 3 -> if ctx.in_batch then total := !total + a else compute ctx a
-        | 4 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          regs.(a) <- load_float ctx (base b + c)
-        | 5 ->
-          st.Stats.prog_accesses <- st.Stats.prog_accesses + 1;
-          store_float ctx (base b + c) regs.(a)
-        | 6 -> regs.(a) <- regs.(b) +. regs.(c)
-        | 7 -> regs.(a) <- regs.(b) -. regs.(c)
-        | 8 -> regs.(a) <- regs.(b) *. regs.(c)
-        | 9 -> regs.(a) <- regs.(b) *. consts.(c)
-        | 10 -> regs.(a) <- consts.(b)
-        | 11 -> regs.(a) <- aux.(b)
-        | 12 -> aux.(b) <- regs.(a)
-        | 13 ->
-          let q = regs.(a) and box = consts.(b) in
-          regs.(a) <-
-            (if q < 0.0 then q +. box
-             else if q >= box then q -. box
-             else q)
-        | op ->
-          violation ~op:(string_of_int op) ~pc:(!k / 4)
-            "unknown opcode (fused interpreter)");
-        k := !k + 4
-      done;
-      (* One fused charge for the in-batch traffic; a [Cycle_limit] for
-         a budget exhausted mid-program is raised here, at the program's
-         end clock. Banked like any other raw access when fused. *)
-      if !total > 0 then begin
-        if ctx.fast then ctx.acc <- ctx.acc + !total
-        else Protocol.charge ctx.p !total
-      end
+    let before = st.Stats.accesses in
+    k ctx ~s ~aux ~base0 ~base1 ~base2;
+    st.Stats.prog_accesses <-
+      st.Stats.prog_accesses + (st.Stats.accesses - before)
 end
 
 let lock ctx l =

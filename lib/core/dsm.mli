@@ -105,7 +105,12 @@ val store_int : ctx -> int -> int -> unit
 
     [batch ctx ranges f] performs one combined check for all the (addr,
     len, access) ranges, then runs [f], inside which the [Batch] raw
-    operations may touch exactly those ranges without further checks. *)
+    operations may touch exactly those ranges without further checks.
+    When [Config.sanitize > 0], the reference path checks every raw
+    access against the declaration: it must be 8-byte aligned, all
+    8 bytes must lie in one declared range, and a store must lie in a
+    range declared [W]. A failed check raises {!Inspect.Violation}
+    with subject [Proc pid]. The fused path does not check. *)
 
 type access = R | W
 
@@ -118,90 +123,34 @@ module Batch : sig
   val store_int : ctx -> int -> int -> unit
 end
 
-(** {1 Access programs}
+(** {1 Kernels}
 
-    A hot per-block access sequence compiled once into a flat int array
-    and interpreted in a tight loop — the §3.4.1 batched-check idea
-    applied to the simulator's own hot path, replacing per-access
-    closure dispatch. A program is {e raw} (uses {!instr.Ldf}/[Stf];
-    must run inside a {!batch} whose ranges cover every address it
-    touches) or {e checked} (uses [Cldf]/[Cstf]; runs outside batches,
-    each access going through the ordinary checked load/store); mixing
-    both in one program is rejected at {!compile} time. The
-    interpretation is cycle-identical to the equivalent closure
-    formulation: with an observer installed every op charges and fires
-    its hook individually; without one a raw program's cycles are
-    charged in a single fused charge at the end (same total and finish
-    time; a [Cycle_limit] that would have fired mid-program fires at the
-    program's end clock). Programs are per-processor scratch (they carry
-    a register file) — build one per [ctx], not shared across bodies. *)
+    An app's innermost loop body as one closure (§3.4.1): raw kernels
+    run inside a {!batch} whose ranges cover every address they touch,
+    checked kernels run outside any batch. A kernel issues exactly the
+    accesses and charges of the loop it replaces, so virtual time does
+    not depend on whether a loop runs as a kernel. *)
 module Prog : sig
-  type instr =
-    | Ldf of int * int * int
-        (** [Ldf (r, b, off)]: reg [r] <- raw in-batch float load at
-            base [b] + byte offset [off] ([b] selects [base0..base2] of
-            {!run}) *)
-    | Stf of int * int * int  (** raw in-batch float store of reg [r] *)
-    | Cldf of int * int * int  (** checked float load (outside batch) *)
-    | Cstf of int * int * int  (** checked float store *)
-    | Fms of int * int
-        (** [Fms (a, b)]: [r(a) <- r(a) -. s *. r(b)] with {!run}'s
-            scalar [s] *)
-    | Add of int * int * int  (** [r(a) <- r(b) +. r(c)] *)
-    | Sub of int * int * int  (** [r(a) <- r(b) -. r(c)] *)
-    | Mul of int * int * int  (** [r(a) <- r(b) *. r(c)] *)
-    | Mulk of int * int * int  (** [r(a) <- r(b) *. consts.(k)] *)
-    | Movk of int * int  (** [r(a) <- consts.(k)] *)
-    | Auxld of int * int  (** [r(a) <- aux.(i)] from {!run}'s scratch *)
-    | Auxst of int * int  (** [aux.(i) <- r(a)] *)
-    | Wrap of int * int
-        (** [Wrap (a, k)]: periodic wrap of [r(a)] into
-            [\[0, consts.(k))] — adds or subtracts one period, the
-            water-kernel boundary condition *)
-    | Charge of int  (** model [n] cycles of local computation *)
-
-  type t
-
-  exception Prog_violation of { op : string; pc : int; detail : string }
-  (** An impossible program configuration reached during interpretation
-      or decoding (e.g. an unknown opcode in a hand-forged code array) —
-      the access-program counterpart of [Protocol.Protocol_violation].
-      [pc] is the instruction index (code offset / 4). *)
-
-  val compile : ?consts:float array -> nregs:int -> instr list -> t
-  (** Validate and flatten a program. Raises [Invalid_argument] on a
-      register/base/constant index out of range or a program mixing raw
-      and checked accesses. *)
-
-  val decode : t -> instr list
-  (** Recover the instruction list a program was compiled from
-      ([compile] is a bijection up to the flat encoding) — the input to
-      the static verifier. Raises {!Prog_violation} on an unknown
-      opcode. *)
-
-  val nregs : t -> int
-  val consts : t -> float array
-  val uses_raw : t -> bool
-  val uses_checked : t -> bool
+  type t =
+    ctx -> s:float -> aux:float array -> base0:int -> base1:int -> base2:int ->
+    unit
+  (** A kernel over a scalar [s], host-side scratch [aux] and three
+      base addresses (unused ones may be [0]). *)
 
   val no_aux : float array
-  (** Empty scratch array for programs without [Auxld]/[Auxst]. *)
+  (** Empty scratch array for kernels that use none. *)
 
   val fms_row : len:int -> cost:int -> t
-  (** The daxpy row kernel [dst.(c) <- dst.(c) -. s *. src.(c)] for
-      [c] in [0, len), charging [cost] cycles of compute per element —
-      ops emitted in the evaluation order of the closure formulation
-      (src load, dst load, multiply-subtract, dst store, charge). *)
+  (** The raw daxpy row kernel [dst.(c) <- dst.(c) -. s *. src.(c)] for
+      [c] in [0, len), charging [cost] cycles of compute per element.
+      [base0] = dst row, [base1] = src row. Per element: src load, dst
+      load, dst store, charge. *)
 
   val run :
     ctx -> t -> s:float -> aux:float array -> base0:int -> base1:int ->
     base2:int -> unit
-  (** Interpret a program with scalar [s], host-side scratch [aux]
-      (pass {!no_aux} when unused) and the three base addresses bound
-      ([base0] = dst row, [base1] = src row for {!fms_row}; unused bases
-      may be [0]). A raw program must run inside a {!batch} whose ranges
-      cover every address it touches; a checked program must run outside
-      any batch. *)
+  (** Apply a kernel and add the accesses it issued to
+      [Stats.prog_accesses]. *)
 end
 
 (** {1 Synchronization} *)

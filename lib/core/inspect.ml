@@ -3,11 +3,6 @@ module Image = Shasta_mem.Image
 module State_table = Shasta_mem.State_table
 module Network = Shasta_net.Network
 
-let state_rank = function
-  | State_table.Invalid -> 0
-  | State_table.Shared -> 1
-  | State_table.Exclusive -> 2
-
 let iter_allocated_blocks (m : Machine.t) f =
   let used = Shasta_mem.Alloc.used_bytes m.Machine.heap in
   let pos = ref 0 in
@@ -15,16 +10,6 @@ let iter_allocated_blocks (m : Machine.t) f =
     f !pos;
     pos := !pos + Machine.block_size m !pos
   done
-
-let block_in_batch (m : Machine.t) ns block =
-  let layout = m.Machine.layout in
-  let first = Layout.line_of layout block in
-  let n = Machine.block_size m block / layout.Layout.line_size in
-  let hit = ref false in
-  for l = first to first + n - 1 do
-    if Hashtbl.mem ns.Machine.batch_lines l then hit := true
-  done;
-  !hit
 
 type subject = Node of int | Proc of int | Machine_wide
 type violation = { block : int; subject : subject; what : string }
@@ -62,7 +47,7 @@ let block_transient (m : Machine.t) block =
       || State_table.pending_downgrade ns.Machine.table line
       || Hashtbl.mem ns.Machine.deferred_flags block
       || Hashtbl.mem ns.Machine.batch_wranges block
-      || block_in_batch m ns block)
+      || Machine.block_in_batch m ns block)
     m.Machine.nodes
   ||
   match Directory.find m.Machine.dirs.(Machine.home_of_block m block) ~block with
@@ -132,9 +117,9 @@ let report (m : Machine.t) =
           let node = Machine.node_of m p in
           let ns = m.Machine.nodes.(node) in
           if
-            (not (block_in_batch m ns block))
-            && state_rank (State_table.get priv line)
-               > state_rank (State_table.get ns.Machine.table line)
+            (not (Machine.block_in_batch m ns block))
+            && State_table.rank (State_table.get priv line)
+               > State_table.rank (State_table.get ns.Machine.table line)
           then
             push block (Proc p)
               (Printf.sprintf "private overstates node %d shared state" node))

@@ -166,6 +166,18 @@ let home_of_block t block =
 let block_base t addr = Block_map.base_addr t.blocks t.layout addr
 let block_size t addr = Block_map.size_bytes t.blocks t.layout addr
 
+let lines_of_block t block =
+  ( Layout.line_of t.layout block,
+    block_size t block / t.layout.Layout.line_size )
+
+let block_in_batch t ns block =
+  let first, n = lines_of_block t block in
+  let hit = ref false in
+  for l = first to first + n - 1 do
+    if Hashtbl.mem ns.batch_lines l then hit := true
+  done;
+  !hit
+
 let set_lines tbl ~first ~n state =
   for l = first to first + n - 1 do
     State_table.set tbl l state

@@ -118,6 +118,15 @@ val block_base : t -> int -> int
 val block_size : t -> int -> int
 (** Byte size of the block containing an address. *)
 
+val lines_of_block : t -> int -> int * int
+(** [(first line, line count)] of the block at the given base address
+    (a block's lines always share one state: every protocol transition
+    is block-granular). *)
+
+val block_in_batch : t -> node_state -> int -> bool
+(** Whether any line of the block at the given base address lies in an
+    active batch on that node. *)
+
 val alloc : t -> ?block_size:int -> ?home:int -> int -> int
 (** Allocate shared memory (setup phase). The home's node starts with an
     exclusive, zero-initialized copy; all other nodes start invalid with

@@ -197,22 +197,12 @@ let with_category ctx cat f =
   Fun.protect ~finally:(fun () -> ctx.ps.Machine.category <- saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Geometry helpers.                                                   *)
-
-let lines_of_block ctx block =
-  let layout = ctx.m.Machine.layout in
-  let first = Layout.line_of layout block in
-  (first, Machine.block_size ctx.m block / layout.Layout.line_size)
-
-let state_rank = function
-  | State_table.Invalid -> 0
-  | State_table.Shared -> 1
-  | State_table.Exclusive -> 2
+(* Block-granular state updates.                                       *)
 
 (* The [table] argument is always the node's shared table of [ctx]'s
    own node, so the observer hook can attribute the transition. *)
 let set_block_state ctx table block st =
-  let first, n = lines_of_block ctx block in
+  let first, n = Machine.lines_of_block ctx.m block in
   let old = State_table.get table first in
   for l = first to first + n - 1 do
     State_table.set table l st
@@ -220,14 +210,14 @@ let set_block_state ctx table block st =
   if st <> old then obs_state ctx ~block ~from_:old ~to_:st
 
 let set_block_pending ctx table block v =
-  let first, n = lines_of_block ctx block in
+  let first, n = Machine.lines_of_block ctx.m block in
   for l = first to first + n - 1 do
     State_table.set_pending table l v
   done;
   obs_pending ctx ~block ~set:v
 
 let set_block_pending_downgrade ctx table block v =
-  let first, n = lines_of_block ctx block in
+  let first, n = Machine.lines_of_block ctx.m block in
   for l = first to first + n - 1 do
     State_table.set_pending_downgrade table l v
   done;
@@ -236,25 +226,25 @@ let set_block_pending_downgrade ctx table block v =
 (* Raise a private state table to [st] (never downgrade). *)
 let raise_private ctx p block st =
   let table = ctx.m.Machine.privates.(p) in
-  let first, n = lines_of_block ctx block in
+  let first, n = Machine.lines_of_block ctx.m block in
   let old = State_table.get table first in
   for l = first to first + n - 1 do
-    if state_rank (State_table.get table l) < state_rank st then
+    if State_table.rank (State_table.get table l) < State_table.rank st then
       State_table.set table l st
   done;
-  if state_rank old < state_rank st then
+  if State_table.rank old < State_table.rank st then
     obs_private ctx ~proc:p ~block ~from_:old ~to_:st
 
 (* Lower a private state table to [st] (never upgrade). *)
 let lower_private ctx p block st =
   let table = ctx.m.Machine.privates.(p) in
-  let first, n = lines_of_block ctx block in
+  let first, n = Machine.lines_of_block ctx.m block in
   let old = State_table.get table first in
   for l = first to first + n - 1 do
-    if state_rank (State_table.get table l) > state_rank st then
+    if State_table.rank (State_table.get table l) > State_table.rank st then
       State_table.set table l st
   done;
-  if state_rank old > state_rank st then
+  if State_table.rank old > State_table.rank st then
     obs_private ctx ~proc:p ~block ~from_:old ~to_:st
 
 let private_state ctx p block =
@@ -263,15 +253,6 @@ let private_state ctx p block =
 
 (* ------------------------------------------------------------------ *)
 (* Invalid-flag stamping, with batch deferral (§3.4.4).                *)
-
-let block_in_active_batch ctx block =
-  let ns = node_state ctx in
-  let first, n = lines_of_block ctx block in
-  let hit = ref false in
-  for l = first to first + n - 1 do
-    if Hashtbl.mem ns.Machine.batch_lines l then hit := true
-  done;
-  !hit
 
 let write_flag_now ctx block =
   let ns = node_state ctx in
@@ -297,7 +278,7 @@ let stamp_invalid ctx block =
     (* Test-only fault: leave stale application data behind where the
        invalid-flag pattern belongs. *)
     ()
-  else if block_in_active_batch ctx block then
+  else if Machine.block_in_batch ctx.m (node_state ctx) block then
     Hashtbl.replace ns.Machine.deferred_flags block ()
   else write_flag_now ctx block
 
@@ -634,7 +615,8 @@ and start_node_downgrade ctx ~block ~target ~deferred =
   in
   let targets =
     List.filter
-      (fun q -> state_rank (private_state ctx q block) > state_rank target)
+      (fun q ->
+        State_table.rank (private_state ctx q block) > State_table.rank target)
       siblings
   in
   lower_private ctx (pid ctx) block target;
@@ -1006,7 +988,9 @@ let load_miss ctx ~addr =
          without touching the private state (§3.4.3). *)
       with_category ctx Stats.Other (fun () ->
           charge ctx ctx.t.Timing.private_upgrade)
-    else if ctx.smp && state_rank (private_state ctx (pid ctx) block) = 0 then begin
+    else if
+      ctx.smp && State_table.rank (private_state ctx (pid ctx) block) = 0
+    then begin
       raise_private ctx (pid ctx) block State_table.Shared;
       ctx.ps.Machine.stats.Stats.private_upgrades <-
         ctx.ps.Machine.stats.Stats.private_upgrades + 1;
@@ -1056,7 +1040,9 @@ let rec store_miss ctx ~addr ~len write =
         charge ctx ctx.t.Timing.private_upgrade;
         write ns.Machine.image)
   else if (not pdg) && base = State_table.Exclusive then begin
-    if ctx.smp && state_rank (private_state ctx (pid ctx) block) < 2 then begin
+    if
+      ctx.smp && State_table.rank (private_state ctx (pid ctx) block) < 2
+    then begin
       raise_private ctx (pid ctx) block State_table.Exclusive;
       ctx.ps.Machine.stats.Stats.private_upgrades <-
         ctx.ps.Machine.stats.Stats.private_upgrades + 1;
@@ -1146,7 +1132,7 @@ let rec ensure_line ctx line need =
      machinery has already lowered it, leaving a stale private-exclusive
      over an invalidated node copy. *)
   let sufficient () =
-    state_rank (base ()) >= state_rank need
+    State_table.rank (base ()) >= State_table.rank need
     && (not (State_table.pending_downgrade ns.Machine.table line))
     && not (State_table.pending ns.Machine.table line)
   in
@@ -1215,7 +1201,8 @@ let batch_begin ctx ranges =
         let cur =
           Option.value ~default:State_table.Invalid (Hashtbl.find_opt needs l)
         in
-        if state_rank need > state_rank cur then Hashtbl.replace needs l need
+        if State_table.rank need > State_table.rank cur then
+          Hashtbl.replace needs l need
       done)
     ranges;
   let lines =
@@ -1245,8 +1232,8 @@ let batch_begin ctx ranges =
   let missing =
     List.filter
       (fun l ->
-        state_rank (State_table.get table l)
-        < state_rank (Hashtbl.find needs l))
+        State_table.rank (State_table.get table l)
+        < State_table.rank (Hashtbl.find needs l))
       lines
   in
   if missing <> [] then begin
@@ -1365,7 +1352,7 @@ let batch_end ctx token =
   let ready =
     Hashtbl.fold
       (fun block () acc ->
-        if block_in_active_batch ctx block then acc else block :: acc)
+        if Machine.block_in_batch ctx.m ns block then acc else block :: acc)
       ns.Machine.deferred_flags []
   in
   List.iter

@@ -39,8 +39,7 @@ type t = {
           (per-access or in-batch), counted whether or not checks are
           enabled *)
   mutable prog_accesses : int;
-      (** the subset of [accesses] issued by compiled [Dsm.Prog] access
-          programs rather than closure dispatch *)
+      (** the subset of [accesses] issued inside [Dsm.Prog] kernels *)
 }
 
 val create : unit -> t

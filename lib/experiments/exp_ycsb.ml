@@ -8,8 +8,8 @@ let scaled = Shasta_apps.App.scaled
 (* The sweep: production-shaped mixes across machine shapes, then one
    dimension varied at a time around the (A, smp-16x4, zipfian 0.99)
    center — skew, distribution, record count, and the insert-bearing
-   mixes D/E (which run the closure path: inserts change the layout the
-   access programs bake in). *)
+   mixes D/E (which run the primitive path: inserts change the layout
+   the KV kernels bake in). *)
 let sweep ~scale =
   let records = scaled scale 12_000 in
   let ops = scaled scale 48_000 in

@@ -1,8 +1,8 @@
 (** YCSB sweep: per-op-class tail latency of the DSM-backed KV store
     under production-shaped load.
 
-    Sweeps the workload mix (A, B, C, F compiled to access programs;
-    D and E on the closure path), machine shape (Base vs. SMP
+    Sweeps the workload mix (A, B, C, F as KV kernels; D and E on
+    the primitive path), machine shape (Base vs. SMP
     clustering), key skew (zipfian theta, uniform, scrambled) and
     record count, reporting p50/p99/p999 op latency and messages/op per
     operation class. Every run is oracle-checked (per-key sequential

@@ -78,5 +78,5 @@ val cache_size : unit -> int
 val fastpath_by_app : result list -> (string * (int * int * int * int)) list
 (** [(app, (checks, fast_hits, accesses, prog_accesses))] summed over
     [results] per application, sorted by name — the per-app fused-hit
-    rate and access-program coverage the CLI's [report] prints to
+    rate and kernel coverage the CLI's [report] prints to
     stderr. *)

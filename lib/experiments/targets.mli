@@ -47,6 +47,6 @@ val json :
 
 val notes : t -> scale:float -> output -> string
 (** The stderr rows of [shasta_cli report] for the target: per-app
-    fused-hit rate and access-program coverage, traced-run latency
+    fused-hit rate and kernel coverage, traced-run latency
     percentiles ([SHASTA_TRACE]), and the YCSB per-op-class aggregate —
     each present only when the target has such runs. *)

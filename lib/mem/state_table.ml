@@ -8,6 +8,8 @@ let base_geq have need =
   | Invalid, Invalid -> true
   | Invalid, (Shared | Exclusive) -> false
 
+let rank = function Invalid -> 0 | Shared -> 1 | Exclusive -> 2
+
 type t = Bytes.t
 
 let base_mask = 0b11
@@ -17,10 +19,10 @@ let batch_bit = 0b10000
 
 let create layout = Bytes.make (Layout.nlines layout) '\000'
 
-(* Raw byte access for the inline-check fast path.  The bounds check is
-   kept as an assert so dev builds (which is what dune's default profile
-   ships) still catch out-of-range lines, while release builds compile
-   down to a single unchecked byte load/store. *)
+(* Raw byte access for the inline-check fast path: an unchecked byte
+   load/store behind an assert bounds check. No build passes [-noassert]
+   (see the root [dune]), so the assert runs in every build, release
+   included. *)
 let unsafe_get_byte t l =
   assert (l >= 0 && l < Bytes.length t);
   Char.code (Bytes.unsafe_get t l)

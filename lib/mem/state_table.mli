@@ -11,6 +11,10 @@ val base_geq : base -> base -> bool
 (** [base_geq have need]: does state [have] permit an access requiring
     [need]? ([Shared] suffices for loads, [Exclusive] for stores.) *)
 
+val rank : base -> int
+(** [Invalid] 0, [Shared] 1, [Exclusive] 2: the access order that
+    {!base_geq} tests. *)
+
 type t
 
 val create : Layout.t -> t
@@ -21,8 +25,9 @@ val set : t -> int -> base -> unit
 
 val unsafe_get_byte : t -> int -> int
 (** Raw encoded byte for line [l]: base state in the low two bits plus
-    the transient marker bits.  Bounds-checked by [assert] only (kept in
-    dev builds, compiled out with [-noassert]). *)
+    the transient marker bits.  Bounds-checked by [assert] only. No
+    build passes [-noassert] (see the root [dune]), so the assert runs
+    in every build, release included. *)
 
 val unsafe_set_byte : t -> int -> int -> unit
 (** Raw byte store; same assert-only bounds policy as

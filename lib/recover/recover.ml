@@ -42,24 +42,20 @@ let () =
 (* Small helpers over whole blocks (a block's lines always share one
    state — every protocol transition is block-granular).               *)
 
-let lines_of_block m b =
-  let layout = m.Machine.layout in
-  (Layout.line_of layout b, Machine.block_size m b / layout.Layout.line_size)
-
 let set_block_state m tbl b st =
-  let first, n = lines_of_block m b in
+  let first, n = Machine.lines_of_block m b in
   for l = first to first + n - 1 do
     State_table.set tbl l st
   done
 
 let set_block_pending m tbl b v =
-  let first, n = lines_of_block m b in
+  let first, n = Machine.lines_of_block m b in
   for l = first to first + n - 1 do
     State_table.set_pending tbl l v
   done
 
 let clear_block_markers m tbl b =
-  let first, n = lines_of_block m b in
+  let first, n = Machine.lines_of_block m b in
   for l = first to first + n - 1 do
     State_table.set_pending tbl l false;
     State_table.set_pending_downgrade tbl l false;
@@ -72,11 +68,6 @@ let block_state m tbl b =
 let embedded_requester = function
   | Msg.Fwd { requester; _ } | Msg.Invalidate { requester; _ } -> Some requester
   | _ -> None
-
-let rank = function
-  | State_table.Exclusive -> 2
-  | State_table.Shared -> 1
-  | State_table.Invalid -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Planned re-injections.
@@ -365,7 +356,9 @@ let rebuild m ~node ~mode ~kill ~now =
           let best = ref (-1) and best_rank = ref (-1) in
           List.iter
             (fun p ->
-              let r = rank (State_table.get m.Machine.privates.(p) line) in
+              let r =
+                State_table.rank (State_table.get m.Machine.privates.(p) line)
+              in
               if r > !best_rank then begin
                 best := p;
                 best_rank := r

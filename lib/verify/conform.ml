@@ -26,8 +26,6 @@ type t = {
   events : unit -> int;  (** total projected events checked *)
 }
 
-let rank = function St.Invalid -> 0 | St.Shared -> 1 | St.Exclusive -> 2
-
 let make ~labels (m : Core.Machine.t) =
   let seen_bad : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let order = ref [] in
@@ -53,8 +51,8 @@ let make ~labels (m : Core.Machine.t) =
             (M.L_state
                {
                  at_home = node = home_node block;
-                 from_ = rank from_;
-                 to_ = rank to_;
+                 from_ = St.rank from_;
+                 to_ = St.rank to_;
                }));
       on_private =
         (fun ~by ~proc ~block ~from_ ~to_ ~now:_ ->
@@ -63,8 +61,8 @@ let make ~labels (m : Core.Machine.t) =
                {
                  at_home = node_of proc = home_node block;
                  self = by = proc;
-                 from_ = rank from_;
-                 to_ = rank to_;
+                 from_ = St.rank from_;
+                 to_ = St.rank to_;
                }));
       on_pending =
         (fun ~by:_ ~node ~block ~set ~now:_ ->

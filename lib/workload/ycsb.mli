@@ -54,8 +54,8 @@ type spec = {
   clustering : int;
   seed : int;
   progs : bool;
-      (** compile get/put/rmw probes to checked access programs when the
-          mix allows it (no inserts); cycle-identical to the closure
+      (** run get/put/rmw probes as {!Shasta_apps.Kv} kernels when the
+          mix allows it (no inserts); cycle-identical to the primitive
           path *)
 }
 
@@ -93,7 +93,7 @@ type result = {
   spec : spec;
   nbuckets : int;
   bcap : int;
-  compiled : bool;  (** the access-program path was used *)
+  compiled : bool;  (** the KV kernel path was used *)
   parallel_cycles : int;
   remote_msgs : int;
   local_msgs : int;  (** excluding downgrades *)

@@ -147,10 +147,10 @@ let test_batch_counts_checks () =
   Alcotest.(check int) "one check per covered line" 4
     (Dsm.aggregate_stats h).Stats.checks
 
-(* Access-program parity: interpreting a compiled [Dsm.Prog] row must be
-   indistinguishable in virtual time from the closure formulation it
-   replaces — same memory, same finish cycles, same statistics, and
-   (with an observer installed) the same per-op hook stream. *)
+(* Kernel parity: running the [Dsm.Prog.fms_row] kernel must be
+   indistinguishable in virtual time from the same loop written inline —
+   same memory, same finish cycles, same statistics, and (with an
+   observer installed) the same per-op hook stream. *)
 let daxpy_run ~use_prog ~record =
   let h = smp () in
   let n = 16 in
@@ -220,6 +220,58 @@ let test_prog_observed_matches_unobserved_cycles () =
   let _, cyc_un, _, _ = daxpy_run ~use_prog:true ~record:false in
   Alcotest.(check int) "same finish cycles" cyc_un cyc_obs
 
+(* Batch range check (§3.4.4): with [sanitize > 0] the reference path
+   holds every raw access to the ranges its batch declared. Processor 3
+   runs one bad body; the sanitizer's observer keeps it off the fused
+   path. With sanitize off, the same body runs unchecked on the fused
+   path. *)
+let range_run ~sanitize body =
+  let h =
+    Dsm.create
+      (Config.create ~variant:Config.Smp ~nprocs:8 ~clustering:4 ~sanitize
+         ~fastpath:true ())
+  in
+  let a = Dsm.alloc h ~block_size:64 128 in
+  if sanitize > 0 then ignore (Shasta_check.Sanitizer.attach (Dsm.machine h));
+  Dsm.run h (fun ctx -> if Dsm.pid ctx = 3 then body ctx a);
+  (h, a)
+
+let load_outside ctx a =
+  Dsm.batch ctx [ (a, 64, Dsm.R) ] (fun () ->
+      ignore (Dsm.Batch.load_float ctx (a + 64) : float))
+
+let store_into_r ctx a =
+  Dsm.batch ctx [ (a, 64, Dsm.R) ] (fun () -> Dsm.Batch.store_int ctx (a + 8) 1)
+
+let misaligned ctx a =
+  Dsm.batch ctx [ (a, 64, Dsm.W) ] (fun () ->
+      ignore (Dsm.Batch.load_int ctx (a + 4) : int))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i =
+    i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
+  in
+  scan 0
+
+let check_rejected ~name ~off body () =
+  let seen = ref (-1) in
+  match range_run ~sanitize:1 (fun ctx a -> seen := a; body ctx a) with
+  | _ -> Alcotest.failf "%s: no violation raised" name
+  | exception Shasta_core.Inspect.Violation [ v ] ->
+    Alcotest.(check bool) (name ^ ": names proc 3") true
+      (v.Shasta_core.Inspect.subject = Shasta_core.Inspect.Proc 3);
+    Alcotest.(check bool) (name ^ ": names the address") true
+      (contains v.Shasta_core.Inspect.what (Printf.sprintf "%#x" (!seen + off)))
+
+let test_unchecked_on_fused_path () =
+  List.iter
+    (fun body ->
+      let h, _ = range_run ~sanitize:0 body in
+      Alcotest.(check int) "the raw access ran" 1
+        (Dsm.proc_stats h).(3).Stats.accesses)
+    [ load_outside; store_into_r; misaligned ]
+
 let () =
   Alcotest.run "batch"
     [
@@ -247,5 +299,16 @@ let () =
             test_prog_parity_observed;
           Alcotest.test_case "observed/unobserved same cycles" `Quick
             test_prog_observed_matches_unobserved_cycles;
+        ] );
+      ( "range check",
+        [
+          Alcotest.test_case "load outside the declared ranges" `Quick
+            (check_rejected ~name:"outside" ~off:64 load_outside);
+          Alcotest.test_case "store into a range declared R" `Quick
+            (check_rejected ~name:"store into R" ~off:8 store_into_r);
+          Alcotest.test_case "misaligned raw access" `Quick
+            (check_rejected ~name:"misaligned" ~off:4 misaligned);
+          Alcotest.test_case "sanitize off: unchecked on the fused path" `Quick
+            test_unchecked_on_fused_path;
         ] );
     ]

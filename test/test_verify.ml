@@ -1,20 +1,16 @@
 (* The static-analysis layer: exhaustive model checking of the abstract
    protocol (clean = zero violations, injected faults = reachable
    counterexamples), conformance of real litmus runs against the
-   model's label vocabulary, static verification of every registered
-   kernel access program plus rejection of crafted-bad ones, and
-   lock-order cycle detection. *)
+   model's label vocabulary, and lock-order cycle detection. *)
 
 module Dsm = Shasta_core.Dsm
 module Config = Shasta_core.Config
 module App = Shasta_apps.App
-module Registry = Shasta_apps.Registry
 module Litmus = Shasta_check.Litmus
 module Conformance = Shasta_check.Conformance
 module Model = Shasta_verify.Model
 module Reach = Shasta_verify.Reach
 module Conform = Shasta_verify.Conform
-module Progcheck = Shasta_verify.Progcheck
 module Lockgraph = Shasta_verify.Lockgraph
 module Prng = Shasta_util.Prng
 
@@ -109,67 +105,6 @@ let conformance_prop =
       conf.Conform.events () > 0 && conf.Conform.mismatches () = [])
 
 (* ------------------------------------------------------------------ *)
-(* Kernel program verification. *)
-
-let test_kernels_verified () =
-  Alcotest.(check int) "no findings" 0 (List.length (Registry.verify_kernels ()));
-  Alcotest.(check bool) "manifest covers the apps" true
-    (List.length (Registry.kernel_manifest ()) >= 20)
-
-let test_registry_find_verifies () =
-  (* The first lookup forces kernel verification; with healthy kernels
-     it must succeed. *)
-  ignore (Registry.find "kv" : App.maker)
-
-let findings_mention instrs ~spec ?consts needle =
-  let fs = Progcheck.check_instrs ?consts ~nregs:4 ~spec instrs in
-  List.exists
-    (fun f ->
-      let d = Progcheck.describe_finding f in
-      let n = String.length needle in
-      let rec scan i =
-        i + n <= String.length d && (String.sub d i n = needle || scan (i + 1))
-      in
-      scan 0)
-    fs
-
-let test_bad_programs_rejected () =
-  let open Dsm.Prog in
-  let sp = Progcheck.spec ~base0:32 ~aux:2 () in
-  Alcotest.(check bool) "out of bounds" true
-    (findings_mention [ Cldf (0, 0, 32) ] ~spec:sp "out of bounds");
-  Alcotest.(check bool) "misaligned" true
-    (findings_mention [ Cldf (0, 0, 4) ] ~spec:sp "misaligned");
-  Alcotest.(check bool) "wild store" true
-    (findings_mention [ Stf (0, 1, 0) ] ~spec:sp "wild access");
-  Alcotest.(check bool) "negative charge" true
-    (findings_mention [ Charge (-1) ] ~spec:sp "negative charge");
-  Alcotest.(check bool) "unbalanced wrap" true
-    (findings_mention
-       [ Wrap (0, 0) ]
-       ~spec:sp
-       ~consts:[| -6.0 |]
-       "unbalanced wrap");
-  Alcotest.(check bool) "raw/checked mix" true
-    (findings_mention
-       [ Ldf (0, 0, 0); Cldf (1, 0, 8) ]
-       ~spec:sp "mixes raw and checked");
-  Alcotest.(check bool) "register range" true
-    (findings_mention [ Add (7, 0, 0) ] ~spec:sp "register 7 out of range");
-  Alcotest.(check bool) "aux range" true
-    (findings_mention [ Auxst (0, 5) ] ~spec:sp "aux index 5 out of range")
-
-let test_good_program_accepted () =
-  let open Dsm.Prog in
-  let p =
-    compile ~consts:[| 2.0 |] ~nregs:2
-      [ Cldf (0, 0, 0); Mulk (1, 0, 0); Cstf (1, 0, 8); Charge 3 ]
-  in
-  Alcotest.(check int) "clean program" 0
-    (List.length
-       (Progcheck.check_prog ~spec:(Progcheck.spec ~base0:16 ()) p))
-
-(* ------------------------------------------------------------------ *)
 (* Lock-order analysis. *)
 
 let test_lock_cycle_detected () =
@@ -239,17 +174,6 @@ let () =
           Alcotest.test_case "litmus scenarios" `Quick
             test_conformance_scenarios;
           QCheck_alcotest.to_alcotest conformance_prop;
-        ] );
-      ( "progs",
-        [
-          Alcotest.test_case "registered kernels verified" `Quick
-            test_kernels_verified;
-          Alcotest.test_case "registry lookup verifies" `Quick
-            test_registry_find_verifies;
-          Alcotest.test_case "crafted-bad programs rejected" `Quick
-            test_bad_programs_rejected;
-          Alcotest.test_case "good program accepted" `Quick
-            test_good_program_accepted;
         ] );
       ( "locks",
         [

@@ -56,8 +56,8 @@ let test_ycsb_oracle () =
         4_000 ops)
     [ Ycsb.A; Ycsb.B; Ycsb.C; Ycsb.F ]
 
-(* The compiled access programs must be cycle-identical to the closure
-   path: same clock, same messages, same per-class latency histograms. *)
+(* The KV kernels must be cycle-identical to the primitive path: same
+   clock, same messages, same per-class latency histograms. *)
 let test_progs_closure_parity () =
   let fast = Ycsb.run (small ~progs:true ()) in
   let slow = Ycsb.run (small ~progs:false ()) in
