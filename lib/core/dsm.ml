@@ -193,7 +193,7 @@ let run ?(run_ahead = true) ?(events = []) h body =
   let outcome =
     Engine.run ~nprocs:cfg.Config.nprocs ~max_cycles:cfg.Config.max_cycles
       ~run_ahead
-      ~arrival_hint:(Machine.earliest_arrival m)
+      ~arrivals:(Network.arrivals m.Machine.net)
       ~lookahead:(lookahead_matrix m) ~events
       (fun eng ->
         let p = Protocol.make_ctx m eng in

@@ -154,12 +154,6 @@ let add_observer t o =
 
 let node_of t p = t.procs.(p).node
 
-(* Earliest in-flight message arrival for [p], [max_int] when none: the
-   engine's run-ahead horizon hint. The engine asks for it on every
-   scheduler pick (the run-ahead horizon) and on every idle-wait
-   iteration (the visibility bound), so it must not allocate. *)
-let earliest_arrival t p = Network.earliest_arrival t.net ~dst:p
-
 let home_of_block t block =
   Home_map.home_of_line t.homes t.layout (Layout.line_of t.layout block)
 

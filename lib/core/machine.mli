@@ -104,11 +104,6 @@ val add_observer : t -> Observer.t -> unit
 val node_of : t -> int -> int
 (** Coherence node of a processor. *)
 
-val earliest_arrival : t -> int -> int
-(** Earliest in-flight message arrival time for a processor, [max_int]
-    when its queue is empty. Threaded into {!Shasta_sim.Engine.run} as
-    the run-ahead horizon hint; allocation-free. *)
-
 val home_of_block : t -> int -> int
 (** Home processor of the block at the given base address. *)
 

@@ -296,6 +296,7 @@ let rec deliver ctx dst msg =
     let now = Engine.now ctx.eng in
     Network.send ctx.m.Machine.net ~src:(pid ctx) ~dst ~now
       ~size:(Msg.size_bytes msg) msg;
+    Engine.sent ctx.eng ~dst;
     match ctx.m.Machine.observer with
     | None -> ()
     | Some o -> o.Observer.on_send ~src:(pid ctx) ~dst ~now msg
@@ -928,14 +929,18 @@ let op_tick ctx =
    re-check point are identical to stepping. Predicates read only node
    state, which a waiter changes only by handling a message or after
    leaving this loop: both [Engine.touch] the node, so a parked sibling
-   counts as frozen exactly while its predicate cannot have changed. *)
-let stall ctx cat pred =
+   counts as frozen exactly while its predicate cannot have changed.
+   [scope] is [Engine.Self] only for a predicate that reads nothing but
+   this processor's own state, which only its own message handlers
+   write (a lock grant, a flat barrier release). *)
+let stall ?(scope = Engine.Group) ctx cat pred =
   let gap = ctx.t.Timing.stall_gap in
   with_category ctx cat (fun () ->
       while not (pred ()) do
         poll ctx;
         if not (pred ()) then
-          charge_yield ctx (gap + Engine.idle_skip ctx.eng ~quantum:gap)
+          charge_yield ctx
+            (gap + Engine.idle_skip ~scope ctx.eng ~quantum:gap)
       done);
   Engine.touch ctx.eng
 
@@ -1398,7 +1403,8 @@ let lock_acquire ctx lock =
   ctx.ps.Machine.waiting_lock <- Some lock;
   with_category ctx Stats.Sync (fun () ->
       deliver ctx (Machine.lock_home ctx.m lock) (Msg.Lock_req { lock }));
-  stall ctx Stats.Sync (fun () -> Hashtbl.mem ctx.ps.Machine.granted lock);
+  stall ~scope:Engine.Self ctx Stats.Sync (fun () ->
+      Hashtbl.mem ctx.ps.Machine.granted lock);
   ctx.ps.Machine.waiting_lock <- None;
   Hashtbl.remove ctx.ps.Machine.granted lock;
   obs_lock_acquired ctx ~lock
@@ -1464,7 +1470,7 @@ let barrier_wait ctx barrier =
     ctx.ps.Machine.waiting_barrier <- Some barrier;
     with_category ctx Stats.Sync (fun () ->
         deliver ctx (Machine.barrier_home ctx.m barrier) (Msg.Barrier_arrive { barrier }));
-    stall ctx Stats.Sync (fun () -> seen () > before);
+    stall ~scope:Engine.Self ctx Stats.Sync (fun () -> seen () > before);
     ctx.ps.Machine.waiting_barrier <- None;
     obs_barrier_leave ctx ~barrier ~epoch:(before + 1);
     acquire_fence ctx;
@@ -1473,11 +1479,14 @@ let barrier_wait ctx barrier =
 
 (* ---------------- Post-run drain ---------------- *)
 
+(* The drain wait is self-woken: leaving it ends the processor, which
+   changes nothing another processor reads. *)
 let drain ctx =
   ctx.ps.Machine.finished <- true;
   ctx.ps.Machine.app_finish_cycles <- Engine.now ctx.eng;
   let gap = ctx.t.Timing.stall_gap in
   while not (Machine.quiescent ctx.m) do
     poll ctx;
-    Engine.advance ctx.eng (gap + Engine.idle_skip ctx.eng ~quantum:gap)
+    Engine.advance ctx.eng
+      (gap + Engine.idle_skip ~scope:Engine.Self ctx.eng ~quantum:gap)
   done

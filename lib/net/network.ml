@@ -79,6 +79,10 @@ type 'a t = {
   link : Link.t;
   nprocs : int;
   queues : 'a Heap.t array;
+  arrivals : int array;
+      (* per destination, its queue's earliest arrival ([max_int] when
+         empty), rewritten by every push, pop and purge: the engine reads
+         it as each processor's arrival term. *)
   last_arrival : int array;
       (* flat nprocs x nprocs table: [src * nprocs + dst] holds the last
          arrival timestamp assigned on that ordered pair, [min_int] when
@@ -106,6 +110,7 @@ let create topo link =
     link;
     nprocs;
     queues = Array.init nprocs (fun _ -> Heap.create ());
+    arrivals = Array.make nprocs max_int;
     last_arrival = Array.make (nprocs * nprocs) min_int;
     seqs = Array.make nprocs 0;
     n_local = Array.make nprocs 0;
@@ -136,17 +141,21 @@ let send t ~src ~dst ~now ~size payload =
   end;
   let m = { arrival; sent = now; src; seq = t.seqs.(src); payload } in
   t.seqs.(src) <- t.seqs.(src) + 1;
-  Heap.push t.queues.(dst) m
+  Heap.push t.queues.(dst) m;
+  if arrival < t.arrivals.(dst) then t.arrivals.(dst) <- arrival
 
 let poll t ~dst ~now =
   let q = t.queues.(dst) in
   if Heap.min_arrival q <= now then begin
     let m = Heap.pop_exn q in
+    t.arrivals.(dst) <- Heap.min_arrival q;
     Some (m.src, m.payload)
   end
   else None
 
 let earliest_arrival t ~dst = Heap.min_arrival t.queues.(dst)
+
+let arrivals t = t.arrivals
 
 let peek_arrival t ~dst =
   match Heap.peek t.queues.(dst) with
@@ -179,7 +188,8 @@ let purge_dead t =
         else survivors := m :: !survivors
       done;
       q.Heap.size <- 0;
-      List.iter (fun m -> Heap.push q m) !survivors
+      List.iter (fun m -> Heap.push q m) !survivors;
+      t.arrivals.(dst) <- Heap.min_arrival q
     end
   done;
   t.n_dropped <- t.n_dropped + !purged;
@@ -207,7 +217,8 @@ let purge_where t f =
       done;
       if !removed then begin
         q.Heap.size <- 0;
-        List.iter (fun m -> Heap.push q m) !survivors
+        List.iter (fun m -> Heap.push q m) !survivors;
+        t.arrivals.(dst) <- Heap.min_arrival q
       end
     end
   done;

@@ -56,7 +56,15 @@ val peek_arrival : 'a t -> dst:int -> int option
 
 val earliest_arrival : 'a t -> dst:int -> int
 (** Like {!peek_arrival} but allocation-free: [max_int] when the queue is
-    empty. Fed to the engine as the run-ahead horizon hint. *)
+    empty. *)
+
+val arrivals : 'a t -> int array
+(** The live per-destination array of {!earliest_arrival}s, kept beside
+    the queues: entry [d] is rewritten by every send to [d], every poll
+    that pops from [d]'s queue and every purge that drops from it, so it
+    always equals [earliest_arrival t ~dst:d]. Fed to the engine as its
+    run-ahead arrival terms ({!Shasta_sim.Engine.run}'s [arrivals]);
+    callers must not write it. *)
 
 val queued : 'a t -> dst:int -> int
 (** Number of queued (in-flight or arrived) messages for [dst]. *)

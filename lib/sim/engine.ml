@@ -6,6 +6,8 @@ type status =
   | Running
   | Finished
 
+type scope = Group | Self
+
 (* State shared by the processors of one [run] (a run is single-domain:
    its coroutines interleave, never overlap), never by two runs — which
    is what makes concurrent [run]s on separate domains race-free. *)
@@ -26,9 +28,12 @@ type proc = {
          processors that may see each other's writes at no delay. *)
   mutable p_park_at : int;
       (* The clock the advance after the latest [idle_skip] lands on. *)
-  mutable p_park_epoch : int;
-      (* Its group's epoch when this processor parked — suspended by the
-         advance after [idle_skip] — or -1 when it is not parked. *)
+  mutable p_scope : scope;  (* The latest [idle_skip]'s wait scope. *)
+  mutable p_parked : bool;
+      (* Suspended by the advance after [idle_skip]: resumed, it is still
+         inside its wait loop. *)
+  mutable p_frozen : bool;
+      (* Parked, and either self-woken or untouched since it parked. *)
   p_max_cycles : int;
   p_run : shared;
 }
@@ -39,10 +44,17 @@ and shared = {
   mutable tasks : proc array;
   lookahead : int array;
       (* Flat [nprocs * nprocs], closed under the triangle inequality. *)
-  arrival_hint : int -> int;
-  epochs : int array;
-      (* Per group (indexed by its least pid), bumped by [touch]. *)
+  tie_la : int array;  (* [lookahead] as horizon keys; see [horizon_of]. *)
+  arrivals : int array;
+      (* Per destination, a lower bound on its earliest queued arrival. *)
+  hterm : int array;
+  vterm : int array;
+      (* Per processor, its term in the other processors' horizons and
+         visibility bounds: its clock, [far] while it runs or after it
+         finishes, or its frozen term (see [touch]). *)
+  members : int array array;  (* Per group (indexed by its least pid). *)
   run_ahead : bool;
+  parking : bool;
 }
 
 type outcome = {
@@ -99,7 +111,9 @@ let advance p c =
   else p.p_run.elided <- p.p_run.elided + 1
 
 (* Resume [p] under a deep handler that parks the continuation on Yield.
-   The handler returns control to the scheduler loop after each effect. *)
+   The handler returns control to the scheduler loop after each effect.
+   Its Yield case is built once per processor, so a performed yield
+   allocates only the continuation and its [Suspended] cell. *)
 let step body p =
   match p.p_status with
   | Finished | Running -> assert false
@@ -108,7 +122,11 @@ let step body p =
     Effect.Deep.continue k ()
   | Fresh ->
     p.p_status <- Running;
-    Effect.Deep.match_with
+    let park : ((unit, unit) Effect.Deep.continuation -> unit) option =
+      Some (fun k -> p.p_status <- Suspended k)
+    in
+    let open Effect.Deep in
+    match_with
       (fun () -> body p)
       ()
       {
@@ -117,81 +135,88 @@ let step body p =
         effc =
           (fun (type c) (eff : c Effect.t) ->
             match eff with
-            | Yield ->
-              Some
-                (fun (k : (c, unit) Effect.Deep.continuation) ->
-                  p.p_status <- Suspended k)
+            | Yield -> (park : ((c, unit) continuation -> unit) option)
             | _ -> None);
       }
 
-(* Runnable set as a binary min-heap on (p_now, p_id) — lexicographic,
-   so equal clocks resume in processor-id order, exactly the tie-break
-   of the original O(n) scan. A processor's clock only moves while it
-   runs, and it is out of the heap while it runs, so heap order is never
-   invalidated in place. Capacity is nprocs; no allocation after
-   creation. *)
+let live p =
+  match p.p_status with
+  | Finished -> false
+  | Fresh | Suspended _ | Running -> true
+
+(* Runnable set as a binary min-heap of pids on (clock, pid) —
+   lexicographic, so equal clocks resume in processor-id order, exactly
+   the tie-break of the original O(n) scan. A processor's clock only
+   moves while it runs, and it is out of the heap while it runs, so heap
+   order is never invalidated in place. Capacity is nprocs; no
+   allocation after creation, and the heap holds ints, so moving an
+   entry is a plain store. *)
 module Runq = struct
-  type t = { heap : proc array; mutable size : int }
+  type t = { tasks : proc array; heap : int array; mutable size : int }
 
-  let less a b = a.p_now < b.p_now || (a.p_now = b.p_now && a.p_id < b.p_id)
+  let create tasks =
+    { tasks; heap = Array.make (Array.length tasks) 0; size = 0 }
 
-  let create capacity dummy = { heap = Array.make capacity dummy; size = 0 }
+  (* Hot: one push + one pop per scheduler pick. Every heap index below
+     is bounded by [size <= capacity] (push asserts it) and every entry
+     is a pid of [tasks], so the accesses skip the bounds checks. *)
 
-  (* Hot: one push + one pop per scheduler pick. Every index below is
-     bounded by [size <= capacity] (push asserts it), so the accesses
-     skip the bounds checks. *)
+  (* Does pid [a] run before pid [b]? *)
+  let before q a b =
+    let ca = (Array.unsafe_get q.tasks a).p_now
+    and cb = (Array.unsafe_get q.tasks b).p_now in
+    ca < cb || (ca = cb && a < b)
 
-  let push q p =
+  let top q = Array.unsafe_get q.heap 0
+
+  let push q pid =
     assert (q.size < Array.length q.heap);
     let heap = q.heap in
     let i = ref q.size in
     q.size <- q.size + 1;
-    Array.unsafe_set heap !i p;
-    while
-      !i > 0
-      &&
+    while !i > 0 && before q pid (Array.unsafe_get heap ((!i - 1) / 2)) do
       let parent = (!i - 1) / 2 in
-      less (Array.unsafe_get heap !i) (Array.unsafe_get heap parent)
-    do
-      let parent = (!i - 1) / 2 in
-      let t = Array.unsafe_get heap !i in
       Array.unsafe_set heap !i (Array.unsafe_get heap parent);
-      Array.unsafe_set heap parent t;
       i := parent
-    done
+    done;
+    Array.unsafe_set heap !i pid
 
   let pop q =
     assert (q.size > 0);
     let heap = q.heap in
     let m = Array.unsafe_get heap 0 in
     q.size <- q.size - 1;
-    Array.unsafe_set heap 0 (Array.unsafe_get heap q.size);
+    let last = Array.unsafe_get heap q.size in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.size && less (Array.unsafe_get heap l) (Array.unsafe_get heap !smallest)
-      then smallest := l;
-      if r < q.size && less (Array.unsafe_get heap r) (Array.unsafe_get heap !smallest)
-      then smallest := r;
-      if !smallest <> !i then begin
-        let t = Array.unsafe_get heap !i in
-        Array.unsafe_set heap !i (Array.unsafe_get heap !smallest);
-        Array.unsafe_set heap !smallest t;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      if l >= q.size then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if
+            r < q.size
+            && before q (Array.unsafe_get heap r) (Array.unsafe_get heap l)
+          then r
+          else l
+        in
+        let pc = Array.unsafe_get heap c in
+        if before q pc last then begin
+          Array.unsafe_set heap !i pc;
+          i := c
+        end
+        else continue := false
       end
-      else continue := false
     done;
+    Array.unsafe_set heap !i last;
     m
 end
-
-let no_hint (_ : int) = max_int
 
 (* The lookahead matrix closed under the triangle inequality (min-plus
    Floyd–Warshall): afterwards [la(p,r) <= la(p,q) + la(q,r)] for every
    triple. Closing only lowers entries, which is always safe, and the
-   frozen-peer term of [visible] relies on it. *)
+   frozen-peer terms rely on it. *)
 let close n la =
   let la = Array.copy la in
   for k = 0 to n - 1 do
@@ -220,12 +245,21 @@ let groups n la =
   done;
   Array.init n root
 
+(* A term no virtual time reaches. [far] plus any lookahead entry still
+   fits in an int, and a bound at or past [far] reads as [max_int], "no
+   bound". *)
+let far = max_int / 4
+
 (* The run's processors, all [Fresh] at clock 0 and sharing one [shared]
    record. The horizon starts in the past — the always-yield setting,
    which [run_controlled] and [run ~run_ahead:false] keep throughout and
    [run] overwrites at every resume. *)
-let make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead =
-  assert (nprocs > 0 && Array.length lookahead = nprocs * nprocs);
+let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
+  assert (
+    nprocs > 0
+    && Array.length lookahead = nprocs * nprocs
+    && Array.length arrivals = nprocs
+    && Array.for_all (fun la -> 0 <= la && la < far) lookahead);
   let group = groups nprocs lookahead in
   let r =
     {
@@ -233,9 +267,21 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead =
       elided = 0;
       tasks = [||];
       lookahead;
-      arrival_hint;
-      epochs = Array.make nprocs 0;
+      tie_la =
+        Array.mapi
+          (fun k la ->
+            let wins = la = 0 && k mod nprocs > k / nprocs in
+            (2 * la) + if wins then 1 else 0)
+          lookahead;
+      arrivals;
+      hterm = Array.make nprocs 0;
+      vterm = Array.make nprocs 0;
+      members =
+        Array.init nprocs (fun g ->
+            Array.of_seq
+              (Seq.filter (fun i -> group.(i) = g) (Seq.init nprocs Fun.id)));
       run_ahead;
+      parking;
     }
   in
   r.tasks <-
@@ -249,65 +295,148 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead =
           p_resumed_at = min_int;
           p_group = group.(i);
           p_park_at = min_int;
-          p_park_epoch = -1;
+          p_scope = Group;
+          p_parked = false;
+          p_frozen = false;
           p_max_cycles = max_cycles;
           p_run = r;
         });
   r.tasks
 
 (* Frozen peers. A processor [parks] when the advance that follows its
-   [idle_skip] performs the yield, and records its group's epoch. While
-   it stays parked and the epoch is unchanged it is frozen: its next
-   action can only be handling a message (a pure re-check of an
+   [idle_skip] performs the yield. A parked processor is frozen while
+   nothing can have changed what its wait predicate reads: its next
+   action can then only be handling a message (a pure re-check of an
    unchanged predicate changes nothing), which cannot happen before its
-   own clock or its earliest queued arrival. Every event that may change
-   what a parked processor's predicate reads bumps the epoch ([touch]):
-   a processor resumed while not parked (it may mutate its group's
-   state before it next yields), a handled message, and a waiter
-   leaving its wait loop. *)
+   own clock or its earliest queued arrival — its frozen term, [far]
+   with nothing queued.
+
+   - A [Self] wait reads only state its own processor changes, so it
+     stays frozen until it is resumed, and its frozen term counts in
+     every other processor's horizon as well as in [visible].
+   - A [Group] wait reads state its group shares, so every event that
+     may change that state unfreezes the group's parked [Group] waiters
+     ([touch]): a processor resumed while not parked (it may mutate its
+     group's state before it next yields), a handled message, and a
+     waiter leaving its wait loop. Its frozen term counts only in
+     [visible]; in horizons it counts by its clock, so a touch during
+     the runner's slice never has to lower the runner's horizon. *)
+let frozen_term r q =
+  let a = Array.unsafe_get r.arrivals q.p_id in
+  if a >= far then far else Int.max q.p_now a
+
 let touch p =
-  let e = p.p_run.epochs in
-  e.(p.p_group) <- e.(p.p_group) + 1
+  let r = p.p_run in
+  if r.parking then begin
+    let m = r.members.(p.p_group) in
+    for k = 0 to Array.length m - 1 do
+      let q = r.tasks.(m.(k)) in
+      if q.p_frozen && q.p_scope = Group then begin
+        q.p_frozen <- false;
+        r.vterm.(q.p_id) <- q.p_now
+      end
+    done
+  end
+
+(* The horizon of [p]: the first virtual time at which [p] must hand
+   control back to the scheduler. Its base is the earliest virtual time
+   at which another processor's actions can become visible to [p],
+   given that all other clocks are frozen while [p] runs:
+
+   - A message already queued for [p] becomes visible at its arrival
+     timestamp ([arrivals]).
+   - Another live processor [q]'s next action happens no earlier than
+     its horizon term — its clock, or its frozen term as a parked
+     [Self] waiter — and becomes visible to [p] no earlier than
+     [lookahead] cycles after that: the minimum virtual-time cost of any
+     direct [q]-to-[p] interaction (0 when they share mutable state, the
+     minimum message transfer time when the network is the only path
+     between them).
+   - Chains through an intermediary [r] need no extra terms: [r] acts
+     no earlier than its own term, which bounds everything it will do,
+     and a chain [s -> r -> p] is bounded by [s]'s own term because the
+     matrix is closed under the triangle inequality.
+
+   With an all-zero matrix and no frozen waiter the base degenerates to
+   the second-lowest runnable clock — the exact no-lookahead horizon.
+
+   A yield AT the base time [h] performs real work only when the
+   scheduler would pick somebody else, i.e. when some contributor [q]
+   of the minimum would act before [p] standing at [h]: any [q] with a
+   positive lookahead sits strictly below its bound, and a
+   zero-lookahead [q] at [h] wins the (clock, pid) tie-break on a lower
+   pid. A minimum contributed only by queued messages or by higher-pid
+   zero-lookahead peers means [p] acts first at [h] — so [p] may keep
+   running through [h] and the horizon is [h + 1].
+
+   Both choices fold into one minimum over keys: [tie_la] holds
+   [2 * lookahead] plus 1 where [p] wins the tie, so a bound [b] has key
+   [2b] or [2b + 1] and the least key [k] gives the horizon
+   [(k + 1) / 2]. *)
+let of_key k = if k / 2 >= far then max_int else (k + 1) / 2
+
+(* Hot: one call per scheduler pick. The unsafe reads are in range:
+   [i < nprocs] and [row + i < nprocs * nprocs]. *)
+let horizon_of p =
+  let r = p.p_run in
+  let n = p.p_nprocs in
+  assert (Array.length r.hterm = n && Array.length r.tie_la = n * n);
+  let row = p.p_id * n in
+  let k = ref ((2 * Int.min (Array.unsafe_get r.arrivals p.p_id) far) + 1) in
+  for i = 0 to n - 1 do
+    let b =
+      (2 * Array.unsafe_get r.hterm i) + Array.unsafe_get r.tie_la (row + i)
+    in
+    if b < !k then k := b
+  done;
+  of_key !k
+
+(* [p], running, has queued a message for [dst]. A frozen [dst]'s term
+   was computed from its earlier arrival and may now be lower; for a
+   [Self] waiter, so may [p]'s horizon, which was computed at resume
+   from the old term. *)
+let sent p ~dst =
+  let r = p.p_run in
+  let q = r.tasks.(dst) in
+  if q.p_frozen then begin
+    let t = frozen_term r q in
+    r.vterm.(dst) <- t;
+    if q.p_scope = Self then begin
+      r.hterm.(dst) <- t;
+      let h = of_key ((2 * t) + r.tie_la.((p.p_id * p.p_nprocs) + dst)) in
+      if h < p.p_horizon then p.p_horizon <- h
+    end
+  end
 
 (* The earliest virtual time at which anything another processor does
    can become visible to [p]: its own earliest queued arrival, and for
-   every other live processor its clock plus the pair's lookahead — or,
-   for a frozen one, the later of its clock and its earliest queued
-   arrival, plus the lookahead (nothing, with none queued). Messages
-   not yet sent are bounded by their senders' own terms: a chain
-   [s -> q -> p] through a frozen [q] becomes visible no earlier than
-   [s]'s clock plus [la(q,s) + la(p,q) >= la(p,s)]. Strictly below this
-   bound a poll probe is empty and no state [p] can observe changes.
+   every other processor its visibility term — its clock, or its frozen
+   term ([far] for a processor that runs, has finished, or is frozen
+   with nothing queued) — plus the pair's lookahead. Messages not yet
+   sent are bounded by their senders' own terms: a chain [s -> q -> p]
+   through a frozen [q] becomes visible no earlier than [s]'s clock
+   plus [la(q,s) + la(p,q) >= la(p,s)]. Strictly below this bound a
+   poll probe is empty and no state [p] can observe changes.
 
    Hot: one call per idle wait iteration. The scan stops once the bound
-   is at or below [floor], where the caller skips nothing anyway, and
-   asks for a frozen peer's arrival only when its clock term could
-   still lower the bound. The unsafe reads are in range: [i < nprocs],
-   [p_group < nprocs] and [row + i < nprocs * nprocs]. *)
+   is at or below [floor], where the caller skips nothing anyway. The
+   unsafe reads are in range: [i < nprocs] and
+   [row + i < nprocs * nprocs]. *)
 let visible p ~floor =
   let r = p.p_run in
   let n = p.p_nprocs in
-  assert (Array.length r.tasks = n && Array.length r.epochs = n);
+  assert (Array.length r.vterm = n && Array.length r.lookahead = n * n);
   let row = p.p_id * n in
-  let v = ref (r.arrival_hint p.p_id) in
+  let v = ref (Array.unsafe_get r.arrivals p.p_id) in
   let i = ref 0 in
   while !i < n && !v > floor do
-    let q = Array.unsafe_get r.tasks !i in
-    if q != p && q.p_status <> Finished then begin
-      let la = Array.unsafe_get r.lookahead (row + !i) in
-      if q.p_now + la < !v then begin
-        let b =
-          if q.p_park_epoch = Array.unsafe_get r.epochs q.p_group then
-            let a = r.arrival_hint !i in
-            if a = max_int then max_int else max q.p_now a + la
-          else q.p_now + la
-        in
-        if b < !v then v := b
-      end
-    end;
+    let b =
+      Array.unsafe_get r.vterm !i + Array.unsafe_get r.lookahead (row + !i)
+    in
+    if b < !v then v := b;
     incr i
   done;
-  !v
+  if !v >= far then max_int else !v
 
 (* Cycles an idle spin loop may skip over in one step: a loop that
    re-checks state and polls every [quantum] cycles observes, at every
@@ -318,7 +447,7 @@ let visible p ~floor =
    point). Virtual-time behavior is bit-identical to stepping; only the
    wasted re-checks go away. Under the always-yield schedulers every
    iteration is stepped. *)
-let idle_skip p ~quantum =
+let idle_skip ?(scope = Group) p ~quantum =
   if not p.p_run.run_ahead then 0
   else begin
     let v = visible p ~floor:(p.p_now + quantum) in
@@ -328,6 +457,7 @@ let idle_skip p ~quantum =
       else quantum * (((d + quantum - 1) / quantum) - 1)
     in
     p.p_park_at <- p.p_now + quantum + skip;
+    p.p_scope <- scope;
     skip
   end
 
@@ -350,7 +480,10 @@ let event_pump tasks events =
     match t.p_status with
     | Running -> invalid_arg "Engine.kill: cannot kill the running processor"
     | Finished -> ()
-    | Fresh | Suspended _ -> t.p_status <- Finished
+    | Fresh | Suspended _ ->
+      t.p_status <- Finished;
+      t.p_run.hterm.(pid) <- far;
+      t.p_run.vterm.(pid) <- far
   in
   let pending =
     ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) events)
@@ -375,90 +508,41 @@ let outcome tasks =
   }
 
 let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
-    ?(arrival_hint = no_hint) ?(lookahead = [||]) ?(events = []) body =
+    ?(arrivals = [||]) ?(lookahead = [||]) ?(events = []) body =
   assert (
     Array.length lookahead = 0 || Array.length lookahead = nprocs * nprocs);
+  assert (Array.length arrivals = 0 || Array.length arrivals = nprocs);
   let lookahead =
     if Array.length lookahead > 0 then close nprocs lookahead
     else Array.make (nprocs * nprocs) 0
   in
-  let tasks =
-    make_tasks ~nprocs ~max_cycles ~run_ahead ~arrival_hint ~lookahead
+  let arrivals =
+    if Array.length arrivals > 0 then arrivals else Array.make nprocs max_int
   in
   let has_events = events <> [] in
-  let fire_due = event_pump tasks events in
   (* Processors park (and so may be frozen) only under run-ahead and
      with no crash event scheduled: a kill or a recovery changes state
      outside the wake rules. *)
   let parking = run_ahead && not has_events in
-  (* The horizon of [p]: the first virtual time at which [p] must hand
-     control back to the scheduler.  Its base is the earliest virtual
-     time at which another processor's actions can become visible to
-     [p], given that all other clocks are frozen while [p] runs:
-
-     - A message already queued for [p] becomes visible at its arrival
-       timestamp ([arrival_hint]).
-     - A runnable processor [q]'s next action happens no earlier than
-       its own clock, and becomes visible to [p] no earlier than
-       [lookahead] cycles after that — the minimum virtual-time cost of
-       any direct [q]-to-[p] interaction (0 when they share mutable
-       state, the minimum message transfer time when the network is the
-       only path between them).
-     - Chains through an intermediary [r] need no extra terms: [r] only
-       acts when scheduled, from its own clock, and [r]'s clock term
-       already bounds everything [r] will do.
-
-     With an all-zero matrix the base degenerates to the second-lowest
-     runnable clock — the exact no-lookahead horizon.
-
-     A yield AT the base time [h] performs real work only when the
-     scheduler would pick somebody else, i.e. when some contributor [q]
-     of the minimum would win the (clock, pid) tie-break against [p]
-     standing at [h]: any [q] with a positive lookahead sits at a clock
-     strictly below its bound, and a zero-lookahead [q] ties on clock
-     and wins on a lower pid.  A minimum contributed only by queued
-     messages or by higher-pid zero-lookahead peers means the scheduler
-     would pop [p] right back — so [p] may keep running through [h] and
-     the horizon is [h + 1]. *)
-  (* Hot: one call per scheduler pick. The unsafe reads are in range by
-     construction — [i < nprocs = Array.length tasks] and
-     [row + i < nprocs * nprocs = Array.length lookahead]. *)
-  let horizon_of p =
-    assert (Array.length tasks = nprocs && Array.length lookahead = nprocs * nprocs);
-    let h = ref (arrival_hint p.p_id) in
-    (* Does some contributor of the minimum run before [p] at time !h? *)
-    let tie_lower = ref false in
-    let row = p.p_id * nprocs in
-    for i = 0 to nprocs - 1 do
-      let q = Array.unsafe_get tasks i in
-      if q != p && q.p_status <> Finished then begin
-        let la = Array.unsafe_get lookahead (row + i) in
-        let bound = q.p_now + la in
-        if bound < !h then begin
-          h := bound;
-          tie_lower := la > 0 || q.p_id < p.p_id
-        end
-        else if bound = !h then
-          tie_lower := !tie_lower || la > 0 || q.p_id < p.p_id
-      end
-    done;
-    let h = !h in
-    if !tie_lower || h = max_int then h else h + 1
+  let tasks =
+    make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead
   in
-  let q = Runq.create nprocs tasks.(0) in
-  Array.iter (fun p -> Runq.push q p) tasks;
+  let r = tasks.(0).p_run in
+  let fire_due = event_pump tasks events in
+  let q = Runq.create tasks in
+  Array.iter (fun p -> Runq.push q p.p_id) tasks;
   while q.Runq.size > 0 do
-    let p = Runq.pop q in
+    let p = tasks.(Runq.pop q) in
     (* A popped processor may have been killed by an event while parked
        in the heap; skip it. *)
-    let running = ref (p.p_status <> Finished) in
+    let running = ref (live p) in
     while !running do
       (* Crash events fire at the clock of the processor about to be
          resumed — the global minimum, so an event at virtual time [at]
          fires before any processor executes at-or-past [at]. The
          callback may kill processors, including [p] itself. *)
       if has_events then fire_due p;
-      if p.p_status = Finished then running := false
+      if not (live p) then running := false
       else begin
         (* With [run_ahead] off, the horizon stays in the past, so every
            scheduling point performs the effect and idle waits advance
@@ -467,7 +551,15 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
         if run_ahead then begin
           (* A processor resumed anywhere but in its idle wait may change
              its group's state before it next yields. *)
-          if p.p_park_epoch < 0 then touch p else p.p_park_epoch <- -1;
+          if p.p_parked then begin
+            p.p_parked <- false;
+            p.p_frozen <- false
+          end
+          else touch p;
+          (* A running processor bounds nobody: its own horizon covers
+             what it does, and its terms stay [far] if it finishes. *)
+          r.hterm.(p.p_id) <- far;
+          r.vterm.(p.p_id) <- far;
           p.p_horizon <- horizon_of p;
           p.p_resumed_at <- p.p_now
         end;
@@ -481,17 +573,26 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
              same perform-or-elide decision, so a yield performed at the
              landing clock of the latest [idle_skip] is that skip's
              advance: [p] parks. *)
-          if parking && p.p_now = p.p_park_at then
-            p.p_park_epoch <- p.p_run.epochs.(p.p_group);
+          if parking && p.p_now = p.p_park_at then begin
+            p.p_parked <- true;
+            p.p_frozen <- true;
+            let t = frozen_term r p in
+            r.vterm.(p.p_id) <- t;
+            r.hterm.(p.p_id) <-
+              (match p.p_scope with Self -> t | Group -> p.p_now)
+          end
+          else begin
+            r.hterm.(p.p_id) <- p.p_now;
+            r.vterm.(p.p_id) <- p.p_now
+          end;
           (* Self-resume fast path: pushing [p] and popping again would
              return [p] itself whenever it is still the strict (clock,
-             pid) minimum — [less] is total on live processors (unique
+             pid) minimum — [before] is total on live processors (unique
              pids), so the comparison against the heap top decides the
              pick exactly. Skip the heap churn and resume directly. *)
-          if
-            q.Runq.size > 0 && not (Runq.less p (Array.unsafe_get q.Runq.heap 0))
-          then begin
-            Runq.push q p;
+          if q.Runq.size > 0 && not (Runq.before q p.p_id (Runq.top q)) then
+          begin
+            Runq.push q p.p_id;
             running := false
           end
         | Finished -> running := false
@@ -509,41 +610,58 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
    pid) minimum, so [choose = fun _ -> cands.(0)] reproduces the
    [run_ahead:false] schedule exactly; any other choice models a valid
    timing (slower processors, longer latencies) because per-pair message
-   FIFO order is preserved by the network layer regardless of schedule. *)
+   FIFO order is preserved by the network layer regardless of schedule.
+
+   A decision allocates nothing: [bufs.(k)] is the candidate array for
+   [k] live processors, refilled in place at every decision — which is
+   why [choose] must not keep it. *)
 let run_controlled ~nprocs ?(max_cycles = 2_000_000_000) ?(events = []) ~choose
     body =
   let tasks =
-    make_tasks ~nprocs ~max_cycles ~run_ahead:false ~arrival_hint:no_hint
+    make_tasks ~nprocs ~max_cycles ~run_ahead:false ~parking:false
+      ~arrivals:(Array.make nprocs max_int)
       ~lookahead:(Array.make (nprocs * nprocs) 0)
   in
   let has_events = events <> [] in
   let fire_due = event_pump tasks events in
+  let bufs = Array.init (nprocs + 1) (fun k -> Array.make k 0) in
   let running = ref true in
   while !running do
-    let live = ref [] in
-    for i = nprocs - 1 downto 0 do
-      if tasks.(i).p_status <> Finished then live := i :: !live
+    let n_live = ref 0 in
+    for i = 0 to nprocs - 1 do
+      if live tasks.(i) then incr n_live
     done;
-    match !live with
-    | [] -> running := false
-    | l ->
-      let cands = Array.of_list l in
-      Array.sort
-        (fun a b ->
-          let ca = tasks.(a).p_now and cb = tasks.(b).p_now in
-          if ca <> cb then compare ca cb else compare a b)
-        cands;
+    if !n_live = 0 then running := false
+    else begin
+      (* Insertion by clock: pids arrive in ascending order, so only a
+         strictly later clock moves right and equal clocks keep pid
+         order. *)
+      let cands = bufs.(!n_live) in
+      let k = ref 0 in
+      for i = 0 to nprocs - 1 do
+        let t = tasks.(i) in
+        if live t then begin
+          let j = ref !k in
+          while !j > 0 && tasks.(cands.(!j - 1)).p_now > t.p_now do
+            cands.(!j) <- cands.(!j - 1);
+            decr j
+          done;
+          cands.(!j) <- i;
+          incr k
+        end
+      done;
       let pick = choose cands in
       if pick < 0 || pick >= nprocs then
         invalid_arg "Engine.run_controlled: choose picked a non-runnable pid";
       let p = tasks.(pick) in
-      if p.p_status <> Finished then begin
+      if live p then begin
         (* Crash events fire at the chosen processor's clock, before it
            steps; the callback may kill any processor including the
            pick, in which case this decision becomes a no-op and the
            next iteration recomputes the live set. *)
         if has_events then fire_due p;
-        if p.p_status <> Finished then step body p
+        if live p then step body p
       end
+    end
   done;
   outcome tasks

@@ -10,16 +10,18 @@
     Run-ahead: when resuming a processor the scheduler hands it a
     {e horizon} — the earliest virtual time at which any other processor
     could affect it: the minimum over its in-flight message arrivals
-    ([arrival_hint]) and, for every other runnable processor, that
-    processor's clock plus the pair's [lookahead] slack (0 when the two
-    share mutable state and may interact at any instant; the minimum
-    message transfer time when the network is the only path between
-    them). Scheduling points strictly below the horizon elide the yield
-    effect entirely: nothing another processor does could have become
-    visible there, so the elision is invisible in virtual time (see
-    DESIGN.md §Simulator for the invariant argument). The runnable set
-    is kept in a binary min-heap, so each real scheduling decision is
-    O(log n).
+    ([arrivals]) and, for every other live processor, that processor's
+    term — its clock, or for a parked self-woken waiter its next possible
+    wake-up (see {!idle_skip}) — plus the pair's [lookahead] slack (0 when
+    the two share mutable state and may interact at any instant; the
+    minimum message transfer time when the network is the only path
+    between them). Scheduling points strictly below the horizon elide the
+    yield effect entirely: nothing another processor does could have
+    become visible there, so the elision is invisible in virtual time
+    (see DESIGN.md §3b for the invariant argument). Each processor's
+    terms are kept in flat int arrays, so computing a horizon is one pass
+    over ints, and the runnable set is a binary min-heap of pids, so each
+    real scheduling decision is O(n) reads plus O(log n) stores.
 
     Causality note: a processor observes a message in its input queue only
     at a scheduling point at-or-after the message's arrival timestamp, which
@@ -50,7 +52,7 @@ val run :
   nprocs:int ->
   ?max_cycles:int ->
   ?run_ahead:bool ->
-  ?arrival_hint:(int -> int) ->
+  ?arrivals:int array ->
   ?lookahead:int array ->
   ?events:(int * (kill:(int -> unit) -> now:int -> unit)) list ->
   (proc -> unit) ->
@@ -83,12 +85,14 @@ val run :
     hooks are) is identical event-for-event under both schedulers — the
     trace-golden test uses this as its oracle.
 
-    [arrival_hint pid] may return the earliest arrival timestamp of an
-    in-flight message destined to [pid], or [max_int] when none (the
-    default). It is consulted for the resumed processor at every resume
-    and, by {!idle_skip}, for the waiting processor and its frozen peers;
-    it must not return later than the earliest such arrival, and an
-    earlier (conservative) hint is always safe.
+    [arrivals] (default: nothing is ever queued) has one entry per
+    processor: a lower bound on the arrival timestamp of the earliest
+    in-flight message destined to it, [max_int] when none. The engine
+    reads it, never writes it; the caller keeps it current as messages
+    are queued and handled (a [Network.arrivals] array is exact). An
+    entry may be earlier than the true earliest arrival, never later.
+    When the running processor queues a message for another, it must
+    call {!sent} after updating the entry.
 
     [lookahead] is a flat [nprocs * nprocs] matrix; entry
     [p * nprocs + q] is a lower bound on the virtual-time delay before
@@ -117,7 +121,9 @@ val run_controlled :
     processors are collected into an array sorted by (clock, pid) and
     passed to [choose], which must return one of them; that processor is
     resumed. [choose = fun cands -> cands.(0)] reproduces the default
-    schedule exactly. Any other choice still models a valid execution —
+    schedule exactly. The array is a buffer the engine refills at the
+    next decision: [choose] may read it but must not keep it. Any other
+    choice still models a valid execution —
     a timing in which the chosen processor's pending work simply
     completes earlier — because message FIFO order between each
     processor pair is independent of the schedule and the protocol makes
@@ -148,7 +154,18 @@ val yield : proc -> unit
 (** Scheduling point without a time charge (yields only at-or-past the
     horizon, where another processor may be due). *)
 
-val idle_skip : proc -> quantum:int -> int
+type scope =
+  | Group
+      (** The wait predicate reads state its group shares: it may change
+          whenever a processor of the group runs or handles a message. *)
+  | Self
+      (** Self-woken: the wait's only action another processor can
+          observe is handling a message. Its predicate reads only state
+          its own processor changes, or leaving the wait changes nothing
+          another processor reads. *)
+(** What an idle wait's predicate reads (see {!idle_skip}). *)
+
+val idle_skip : ?scope:scope -> proc -> quantum:int -> int
 (** [idle_skip p ~quantum] is the number of cycles an idle spin loop —
     one that polls, re-checks state and advances [quantum] cycles per
     iteration — may add to its next advance, [advance p (quantum + skip)],
@@ -162,23 +179,42 @@ val idle_skip : proc -> quantum:int -> int
     The bound is the earliest time another processor's action can become
     visible to [p]: [p]'s own earliest queued arrival, and for each other
     live processor [q] its clock plus the pair's lookahead — except for a
-    {e frozen} [q], which contributes [max (clock q) (arrival_hint q)]
+    {e frozen} [q], which contributes [max (clock q) (arrivals.(q))]
     plus the lookahead ([max_int], i.e. nothing, when it has no queued
     message). A processor {e parks} when the advance that follows its
-    [idle_skip] performs the yield; it is frozen while it stays parked
-    and no {!touch} has hit its group since. Its only possible next
-    action is then handling a message. So a node whose processors all
-    wait advances in message-arrival or remote-lookahead steps rather
-    than one [quantum] per scheduler switch. Parking is off under
-    [run ~run_ahead:false], {!run_controlled} and when [events] are
-    scheduled. *)
+    [idle_skip] performs the yield. It is frozen while it stays parked
+    and nothing can have changed what its predicate reads; its only
+    possible next action is then handling a message. [scope] (default
+    {!Group}) says what that predicate reads:
+
+    - a {!Group} waiter is frozen until a {!touch} hits its group;
+    - a {!Self} waiter is frozen until it is resumed, and its frozen
+      term also replaces its clock in every other processor's horizon:
+      a processor running beside it is no longer bounded by its clock.
+      A message queued for it mid-slice must be reported with {!sent},
+      which lowers the sender's horizon to the waiter's new term.
+
+    So a node whose processors all wait advances in message-arrival or
+    remote-lookahead steps rather than one [quantum] per scheduler
+    switch, and a lock or barrier waiter stops leapfrogging its running
+    siblings. Parking is off under [run ~run_ahead:false],
+    {!run_controlled} and when [events] are scheduled. *)
 
 val touch : proc -> unit
 (** [touch p] records that [p] may have changed state its group reads,
-    so no processor of [p]'s group counts as frozen (see {!idle_skip})
-    until it parks again. A waiting loop built on {!idle_skip} must call
-    it when it handles a message and when it leaves the loop, and its
-    predicate may read only state that processors of its own group
-    change (anything else must reach it as a message); the scheduler
-    touches on behalf of a processor resumed while not parked. Touching
-    more often than needed only costs skipped cycles. *)
+    so no {!Group} waiter of [p]'s group counts as frozen (see
+    {!idle_skip}) until it parks again. A waiting loop built on
+    {!idle_skip} must call it when it handles a message and when it
+    leaves the loop. A {!Group} waiter's predicate may read only state
+    that processors of its own group change, a {!Self} waiter's only
+    state its own processor changes (anything else must reach it as a
+    message); the scheduler touches on behalf of a processor resumed
+    while not parked. Touching more often than needed only costs
+    skipped cycles. *)
+
+val sent : proc -> dst:int -> unit
+(** [sent p ~dst] reports that [p], running, has just queued a message
+    for [dst] and updated [arrivals.(dst)]: a frozen [dst]'s terms are
+    recomputed, and if [dst] is a {!Self} waiter, [p]'s horizon drops to
+    [dst]'s new term plus the pair's lookahead. Reporting a send that
+    changed nothing only costs a few reads. *)

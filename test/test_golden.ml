@@ -154,6 +154,50 @@ let test_waiting_nodes_skip () =
        ay_yields)
     true (ra_yields <= 20_399)
 
+(* Yield budget of self-woken waits: processors 0-3 (one node) take
+   one lock in turn, each around a critical section of 200 computes of
+   1,000 cycles, then all sixteen meet at a barrier. A lock waiter
+   reads only its own grant, so its clock must not bound the holder
+   beside it: the holder runs its section in a few slices instead of
+   leapfrogging the waiters one stall gap at a time — at the same
+   virtual times as the always-yield scheduler. *)
+let lock_convoy ~run_ahead =
+  let cfg = Config.create ~variant:Config.Smp ~nprocs:16 ~clustering:4 () in
+  let h = Dsm.create cfg in
+  let lk = Dsm.alloc_lock h in
+  let bar = Dsm.alloc_barrier h in
+  Dsm.run ~run_ahead h (fun ctx ->
+      if Dsm.pid ctx < 4 then begin
+        Dsm.lock ctx lk;
+        for _ = 1 to 200 do
+          Dsm.compute ctx 1000
+        done;
+        Dsm.unlock ctx lk
+      end;
+      Dsm.barrier ctx bar);
+  let per_proc =
+    Array.to_list
+      (Array.map
+         (fun p ->
+           ( p.Machine.app_finish_cycles,
+             Array.to_list p.Machine.stats.Stats.cycles,
+             Array.to_list p.Machine.stats.Stats.misses ))
+         (Dsm.machine h).Machine.procs)
+  in
+  (per_proc, fst (Dsm.sched_counts h))
+
+let test_lock_convoy_skips () =
+  let ay, ay_yields = lock_convoy ~run_ahead:false in
+  let ra, ra_yields = lock_convoy ~run_ahead:true in
+  Alcotest.(check (list (triple int (list int) (list int))))
+    "finish cycles and stats agree with always-yield" ay ra;
+  (* 4,078 while the waiters' clocks bounded the holder; 383 with
+     self-woken waits. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "performed yields %d <= 1,000 (always-yield %d)" ra_yields
+       ay_yields)
+    true (ra_yields <= 1_000)
+
 let () =
   match Sys.getenv_opt "SHASTA_GOLDEN_WRITE" with
   | Some path ->
@@ -175,5 +219,7 @@ let () =
             Alcotest.test_case "single domain" `Quick test_single_domain;
             Alcotest.test_case "waiting nodes skip" `Quick
               test_waiting_nodes_skip;
+            Alcotest.test_case "lock convoy skips" `Quick
+              test_lock_convoy_skips;
           ] );
       ]

@@ -169,6 +169,71 @@ let prop_arrival_order =
       let _ = drain [] 0 in
       true)
 
+(* The engine reads [Network.arrivals] as each processor's arrival
+   term, so the array must track every queue through every operation
+   that changes it: sends, polls, crash purges and selective purges. *)
+type op =
+  | Send of int * int * int * int  (* src, dst, now, size *)
+  | Poll of int * int  (* dst, now *)
+  | Kill of int
+  | Purge_where of int  (* drop payloads divisible by this *)
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map
+            (fun (src, dst, now, size) -> Send (src, dst, now, size))
+            (quad (int_bound 3) (int_bound 3) (int_bound 2000)
+               (int_bound 256)) );
+        ( 4,
+          map2 (fun dst now -> Poll (dst, now)) (int_bound 3) (int_bound 4000)
+        );
+        (1, map (fun p -> Kill p) (int_bound 3));
+        (1, map (fun k -> Purge_where k) (int_range 2 5));
+      ])
+
+let show_op = function
+  | Send (s, d, n, z) -> Printf.sprintf "send %d->%d @%d %dB" s d n z
+  | Poll (d, n) -> Printf.sprintf "poll %d @%d" d n
+  | Kill p -> Printf.sprintf "kill %d" p
+  | Purge_where k -> Printf.sprintf "purge %%%d" k
+
+let prop_arrivals_track_queues =
+  QCheck.Test.make ~name:"arrivals array tracks every queue" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_op))
+    (fun ops ->
+      let topo = Topology.create ~nprocs:4 ~procs_per_node:2 in
+      let net = Network.create topo Link.default in
+      let payload = ref 0 in
+      let agree () =
+        List.for_all
+          (fun d ->
+            let a = (Network.arrivals net).(d) in
+            let peeked = Network.peek_arrival net ~dst:d in
+            a = Network.earliest_arrival net ~dst:d
+            && a = Option.value ~default:max_int peeked)
+          [ 0; 1; 2; 3 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Send (src, dst, now, size) ->
+            incr payload;
+            Network.send net ~src ~dst ~now ~size !payload
+          | Poll (dst, now) -> ignore (Network.poll net ~dst ~now)
+          | Kill pid ->
+            Network.mark_dead net pid;
+            ignore (Network.purge_dead net)
+          | Purge_where k ->
+            ignore
+              (Network.purge_where net (fun ~src:_ ~dst:_ v -> v mod k = 0)));
+          agree ())
+        ops)
+
 let () =
   Alcotest.run "net"
     [
@@ -184,6 +249,7 @@ let () =
           Alcotest.test_case "fifo per pair" `Quick test_network_fifo_per_pair;
           Alcotest.test_case "counters" `Quick test_network_counters;
           QCheck_alcotest.to_alcotest prop_arrival_order;
+          QCheck_alcotest.to_alcotest prop_arrivals_track_queues;
         ] );
       ( "heap",
         [

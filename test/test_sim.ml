@@ -107,27 +107,27 @@ let group_lookahead =
 
 (* Shaped like [Protocol.stall]: probe, re-check, advance one 60-cycle
    gap plus the idle skip; touch on the way out. *)
-let wait ?(probe = ignore) p pred =
+let wait ?scope ?(probe = ignore) p pred =
   while not (pred ()) do
     Engine.yield p;
     probe ();
     if not (pred ()) then
-      Engine.advance p (60 + Engine.idle_skip p ~quantum:60)
+      Engine.advance p (60 + Engine.idle_skip ?scope p ~quantum:60)
   done;
   Engine.touch p
 
 (* A scenario builds fresh shared state and returns the run's arrival
-   hint and a body that logs, through [saw], what it sees and when. Run
+   array and a body that logs, through [saw], what it sees and when. Run
    it once under each scheduler; the logs must agree. Returns the log
    and each leg's performed yields. *)
 let same_both_ways scenario =
   let run run_ahead =
     let log = ref [] in
     let saw p what = log := (Engine.pid p, what, Engine.now p) :: !log in
-    let arrival_hint, body = scenario () in
+    let arrivals, body = scenario () in
     let o =
-      Engine.run ~nprocs:5 ~run_ahead ~arrival_hint
-        ~lookahead:group_lookahead (body saw)
+      Engine.run ~nprocs:5 ~run_ahead ~arrivals ~lookahead:group_lookahead
+        (body saw)
     in
     (List.sort compare !log, o.Engine.yields_performed)
   in
@@ -143,7 +143,7 @@ let remote_idle p = Engine.advance p 50_000
    for frozen and skip to the remote's horizon. *)
 let chain () =
   let a = ref false and b = ref false and c = ref false in
-  ( (fun _ -> max_int),
+  ( Array.make 5 max_int,
     fun saw p ->
       match Engine.pid p with
       | 0 ->
@@ -180,7 +180,7 @@ let test_frozen_chain () =
    q for frozen while q's predicate is already true. *)
 let late_waker () =
   let a = ref false and c = ref false in
-  ( (fun _ -> max_int),
+  ( Array.make 5 max_int,
     fun saw p ->
       match Engine.pid p with
       | 0 ->
@@ -208,16 +208,15 @@ let test_frozen_late_waker () = ignore (same_both_ways late_waker)
    sets [c]; s waits on [c] and then sets [d]. Handling must unfreeze s,
    or q takes s for frozen and skips past the moment s sets [d]. *)
 let message_waker () =
-  let msg_at = ref max_int and c = ref false and d = ref false in
-  let hint pid = if pid = 1 then !msg_at else max_int in
-  ( hint,
+  let arrivals = Array.make 5 max_int and c = ref false and d = ref false in
+  ( arrivals,
     fun saw p ->
       match Engine.pid p with
       | 1 ->
         let probe () =
-          if !msg_at <= Engine.now p then begin
+          if arrivals.(1) <= Engine.now p then begin
             Engine.touch p;
-            msg_at := max_int;
+            arrivals.(1) <- max_int;
             saw p "msg";
             c := true
           end
@@ -231,11 +230,104 @@ let message_waker () =
         d := true
       | 4 ->
         Engine.advance p 100;
-        msg_at := Engine.now p + 1000;
+        arrivals.(1) <- Engine.now p + 1000;
+        Engine.sent p ~dst:1;
         remote_idle p
       | _ -> () )
 
 let test_frozen_message_waker () = ignore (same_both_ways message_waker)
+
+(* Send hook: q waits self-woken for a message only it handles, so its
+   clock does not bound p running beside it. Mid-slice p queues that
+   message and then keeps checking the flag q's handler sets. The
+   send must lower p's horizon to q's new term, or p runs on past the
+   moment q handles the message and sees the flag late. *)
+let self_woken_send () =
+  let arrivals = Array.make 5 max_int in
+  let flag = ref false and granted = ref false in
+  ( arrivals,
+    fun saw p ->
+      match Engine.pid p with
+      | 0 ->
+        Engine.advance p 500;
+        arrivals.(1) <- Engine.now p + 100;
+        Engine.sent p ~dst:1;
+        saw p "sent";
+        while not !flag do
+          Engine.advance p 10
+        done;
+        saw p "flag"
+      | 1 ->
+        let probe () =
+          if arrivals.(1) <= Engine.now p then begin
+            Engine.touch p;
+            arrivals.(1) <- max_int;
+            saw p "msg";
+            flag := true;
+            granted := true
+          end
+        in
+        wait ~scope:Engine.Self ~probe p (fun () -> !granted)
+      | 4 -> remote_idle p
+      | _ -> () )
+
+let test_self_woken_send () =
+  let log, _, _ = same_both_ways self_woken_send in
+  Alcotest.(check bool) "p saw the flag one step after q handled" true
+    (List.mem (1, "msg", 600) log && List.mem (0, "flag", 610) log)
+
+(* [run_controlled] hands [choose] exactly the live pids in (clock, pid)
+   order. The bodies publish the clock each advance suspends at; the
+   recording [choose] rebuilds the expected order from that, with ties
+   at equal clocks and processor 2 killed at cycle 35. *)
+let test_controlled_candidates () =
+  let nprocs = 4 in
+  let steps = [| 10; 10; 20; 5 |] in
+  let clocks = Array.make nprocs 0 and alive = Array.make nprocs true in
+  let finished = Array.make nprocs false and killed = ref false in
+  let decisions = ref 0 and ties = ref 0 and bad = ref [] in
+  let choose cands =
+    let expected =
+      List.filter (fun i -> alive.(i)) (List.init nprocs Fun.id)
+      |> List.stable_sort (fun a b -> compare clocks.(a) clocks.(b))
+    in
+    let got = Array.to_list cands in
+    if got <> expected then bad := (!decisions, got, expected) :: !bad;
+    if
+      List.exists
+        (fun a -> List.exists (fun b -> a < b && clocks.(a) = clocks.(b)) got)
+        got
+    then incr ties;
+    incr decisions;
+    (* Vary the pick so the clocks drift apart and back together. *)
+    cands.(!decisions mod Array.length cands)
+  in
+  let kill_at = 35 in
+  let events =
+    [
+      ( kill_at,
+        fun ~kill ~now:_ ->
+          kill 2;
+          alive.(2) <- false;
+          killed := true );
+    ]
+  in
+  ignore
+    (Engine.run_controlled ~nprocs ~events ~choose (fun p ->
+         let i = Engine.pid p in
+         for _ = 1 to 8 do
+           clocks.(i) <- Engine.now p + steps.(i);
+           Engine.advance p steps.(i)
+         done;
+         alive.(i) <- false;
+         finished.(i) <- true));
+  Alcotest.(check (list (triple int (list int) (list int))))
+    "candidates are the live pids by (clock, pid)" [] (List.rev !bad);
+  Alcotest.(check bool) "processor 2 was killed mid-run" true
+    (!killed && not finished.(2));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d decisions had equal clocks" !ties !decisions)
+    true (!ties > 0)
 
 let () =
   Alcotest.run "sim"
@@ -258,5 +350,12 @@ let () =
             test_frozen_late_waker;
           Alcotest.test_case "message waker (handling)" `Quick
             test_frozen_message_waker;
+          Alcotest.test_case "send to a self-woken sibling" `Quick
+            test_self_woken_send;
+        ] );
+      ( "controlled",
+        [
+          Alcotest.test_case "candidates by (clock, pid)" `Quick
+            test_controlled_candidates;
         ] );
     ]

@@ -311,6 +311,124 @@ let test_chrome_export () =
   Alcotest.(check bool) "has M metadata events" true
     (List.exists (fun o -> has_key o "args" && has_key o "name") objs)
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle over random programs *)
+
+(* Random short bodies on two SMP nodes of 2-3 processors: loads and
+   stores on 2-3 blocks, critical sections on one lock, phases split by
+   one barrier (flat or, with [smp_sync], combined per node), and
+   compute gaps. Each program runs under run-ahead and under
+   always-yield, traced and untraced; per-processor finish cycles,
+   stats and the event stream must agree. Every wait the protocol has —
+   miss, store-limit, fence, lock grant, barrier, drain — is reached
+   with random siblings running or waiting beside it, which is what the
+   frozen-peer and self-woken rules must get right. *)
+type op = Load of int | Store of int | Compute of int | Critical of op list
+
+type program = {
+  per_node : int;
+  smp_sync : bool;
+  nblocks : int;
+  bodies : op list list array;  (* per processor, per phase *)
+}
+
+let rec show_op = function
+  | Load b -> Printf.sprintf "L%d" b
+  | Store b -> Printf.sprintf "S%d" b
+  | Compute n -> Printf.sprintf "C%d" n
+  | Critical ops -> "[" ^ String.concat " " (List.map show_op ops) ^ "]"
+
+let show_program g =
+  Printf.sprintf "2x%d%s, %d blocks:\n%s" g.per_node
+    (if g.smp_sync then " smp_sync" else "")
+    g.nblocks
+    (String.concat "\n"
+       (Array.to_list
+          (Array.mapi
+             (fun p phases ->
+               Printf.sprintf "  p%d: %s" p
+                 (String.concat " | "
+                    (List.map
+                       (fun ops -> String.concat " " (List.map show_op ops))
+                       phases)))
+             g.bodies)))
+
+let gen_program =
+  let open QCheck.Gen in
+  let* per_node = int_range 2 3 in
+  let* smp_sync = bool in
+  let* nblocks = int_range 2 3 in
+  let* nphases = int_range 1 3 in
+  let access =
+    frequency
+      [
+        (3, map (fun b -> Load b) (int_bound (nblocks - 1)));
+        (3, map (fun b -> Store b) (int_bound (nblocks - 1)));
+        (2, map (fun n -> Compute n) (oneofl [ 1; 50; 400; 3000 ]));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, access);
+        (1, map (fun ops -> Critical ops) (list_size (int_range 0 3) access));
+      ]
+  in
+  let+ bodies =
+    array_repeat (2 * per_node)
+      (list_repeat nphases (list_size (int_range 0 5) op))
+  in
+  { per_node; smp_sync; nblocks; bodies }
+
+let run_program ~run_ahead ~traced g =
+  let nprocs = 2 * g.per_node in
+  let cfg =
+    Config.create ~variant:Config.Smp ~nprocs ~procs_per_node:g.per_node
+      ~clustering:g.per_node ~smp_sync:g.smp_sync ~heap_bytes:(1 lsl 16) ()
+  in
+  let h = Dsm.create cfg in
+  let blocks = Array.init g.nblocks (fun _ -> Dsm.alloc h ~block_size:64 64) in
+  let lk = Dsm.alloc_lock h in
+  let bar = Dsm.alloc_barrier h in
+  let rec_ = if traced then Some (Recorder.attach (Dsm.machine h)) else None in
+  Dsm.run ~run_ahead h (fun ctx ->
+      let p = Dsm.pid ctx in
+      let stamp = ref 0 in
+      let rec exec = function
+        | Load b -> ignore (Dsm.load_float ctx blocks.(b))
+        | Store b ->
+          incr stamp;
+          Dsm.store_float ctx blocks.(b) (float_of_int ((100 * p) + !stamp))
+        | Compute n -> Dsm.compute ctx n
+        | Critical ops ->
+          Dsm.lock ctx lk;
+          List.iter exec ops;
+          Dsm.unlock ctx lk
+      in
+      List.iteri
+        (fun i ops ->
+          if i > 0 then Dsm.barrier ctx bar;
+          List.iter exec ops)
+        g.bodies.(p));
+  let procs =
+    Array.to_list
+      (Array.map
+         (fun ps -> (ps.Machine.app_finish_cycles, ps.Machine.stats))
+         (Dsm.machine h).Machine.procs)
+  in
+  (procs, Option.map Recorder.events rec_)
+
+let prop_schedulers_agree =
+  QCheck.Test.make ~name:"run-ahead = always-yield on random programs"
+    ~count:1000
+    (QCheck.make ~print:show_program gen_program)
+    (fun g ->
+      List.for_all
+        (fun traced ->
+          run_program ~run_ahead:true ~traced g
+          = run_program ~run_ahead:false ~traced g)
+        [ false; true ])
+
 let () =
   match Sys.getenv_opt "SHASTA_GOLDEN_WRITE" with
   | Some path ->
@@ -338,4 +456,5 @@ let () =
           [ Alcotest.test_case "sanity" `Quick test_metrics_sanity ] );
         ( "chrome",
           [ Alcotest.test_case "export schema" `Quick test_chrome_export ] );
+        ("differential", [ QCheck_alcotest.to_alcotest prop_schedulers_agree ]);
       ]
