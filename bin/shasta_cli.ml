@@ -686,11 +686,12 @@ let reach_arg =
     value & flag
     & info [ "reach" ]
         ~doc:
-          "Exhaustively explore the abstract protocol model's reachable \
-           state space: the clean model must satisfy every invariant, both \
-           fault injections must be exposed with a counterexample, and the \
-           litmus scenarios' runs must conform to the model's label \
-           vocabulary.")
+          "Exhaustively explore the reachable state space of the \
+           simulator's own coherence handlers, run on an abstract block \
+           shared by 2 nodes of 2 processors: the clean model must satisfy \
+           every invariant, both fault injections must be exposed with a \
+           counterexample, and the litmus scenarios' runs must conform to \
+           the model's label vocabulary.")
 
 let locks_arg =
   Arg.(

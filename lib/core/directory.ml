@@ -2,7 +2,7 @@ type entry = {
   mutable owner : int;
   mutable sharers : Shasta_util.Bitset.t;
   mutable busy : bool;
-  mutable queue : (int * Msg.t) list;
+  mutable queue : (int * Msg.req_kind) list;
 }
 
 type t = (int, entry) Hashtbl.t
@@ -23,7 +23,7 @@ let find t ~block = Hashtbl.find_opt t block
 let iter f t = Hashtbl.iter f t
 let clear t = Hashtbl.reset t
 let remove t ~block = Hashtbl.remove t block
-let push_queued e ~src m = e.queue <- (src, m) :: e.queue
+let push_queued e ~src kind = e.queue <- (src, kind) :: e.queue
 
 let pop_queued e =
   match List.rev e.queue with

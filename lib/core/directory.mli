@@ -15,7 +15,8 @@ type entry = {
   mutable owner : int;
   mutable sharers : Shasta_util.Bitset.t;
   mutable busy : bool;
-  mutable queue : (int * Msg.t) list;  (** (source, message), newest first *)
+  mutable queue : (int * Msg.req_kind) list;
+      (** (source, request kind), newest first *)
 }
 
 type t
@@ -38,8 +39,8 @@ val clear : t -> unit
 val remove : t -> block:int -> unit
 (** Drop one entry (crash recovery: a block re-homed away). *)
 
-val push_queued : entry -> src:int -> Msg.t -> unit
+val push_queued : entry -> src:int -> Msg.req_kind -> unit
 (** Append a request to the busy-entry queue (FIFO). *)
 
-val pop_queued : entry -> (int * Msg.t) option
+val pop_queued : entry -> (int * Msg.req_kind) option
 (** Remove the oldest queued request. *)

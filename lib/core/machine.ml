@@ -15,7 +15,6 @@ type node_state = {
   deferred_flags : (int, unit) Hashtbl.t;
   batch_lines : (int, int) Hashtbl.t;
   batch_wranges : (int, (int * int) list) Hashtbl.t;
-  mutable downgrade_epoch : int;
 }
 
 type lock_state = {
@@ -101,7 +100,6 @@ let create (cfg : Config.t) =
       deferred_flags = Hashtbl.create 8;
       batch_lines = Hashtbl.create 32;
       batch_wranges = Hashtbl.create 8;
-      downgrade_epoch = 0;
     }
   in
   let make_proc pid =

@@ -20,10 +20,6 @@ type node_state = {
       (** block -> block-relative ranges being written raw by active
           batches; data replies merge around them, exactly as they merge
           around non-blocking-store ranges *)
-  mutable downgrade_epoch : int;
-      (** bumped whenever any block of this node is downgraded; lets a
-          batch detect that a block it wrote may have churned mid-batch
-          and must be re-serialized through the store path *)
 }
 
 type lock_state = {

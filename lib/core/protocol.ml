@@ -78,8 +78,6 @@ let violation ctx ~block detail =
    hook ever charges cycles — simulated time is bit-identical whether
    or not an observer is watching. *)
 
-let fault_is ctx f = ctx.m.Machine.cfg.Config.fault = Some f
-
 let obs_state ctx ~block ~from_ ~to_ =
   match ctx.m.Machine.observer with
   | None -> ()
@@ -114,40 +112,6 @@ let obs_miss_start ctx ~block ~kind =
   | Some o ->
     o.Observer.on_miss_start ~proc:(pid ctx) ~block ~kind
       ~now:(Engine.now ctx.eng)
-
-let obs_miss_end ctx ~block ~kind ~start =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_miss_end ~proc:(pid ctx) ~block ~kind ~start
-      ~now:(Engine.now ctx.eng)
-
-let obs_downgrade_ack ctx ~block =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_downgrade_ack ~proc:(pid ctx) ~block ~now:(Engine.now ctx.eng)
-
-let obs_downgrade_done ctx ~block =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_downgrade_done ~proc:(pid ctx) ~block
-      ~now:(Engine.now ctx.eng)
-
-let obs_downgrade_queued ctx ~block ~src msg =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_downgrade_queued ~proc:(pid ctx) ~block ~src
-      ~now:(Engine.now ctx.eng) msg
-
-let obs_downgrade_replay ctx ~block ~src msg =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_downgrade_replay ~proc:(pid ctx) ~block ~src
-      ~now:(Engine.now ctx.eng) msg
 
 let obs_recv ctx ~src ~now msg =
   match ctx.m.Machine.observer with
@@ -197,11 +161,10 @@ let with_category ctx cat f =
   Fun.protect ~finally:(fun () -> ctx.ps.Machine.category <- saved) f
 
 (* ------------------------------------------------------------------ *)
-(* Block-granular state updates.                                       *)
+(* Block-granular state updates on the node's shared table.            *)
 
-(* The [table] argument is always the node's shared table of [ctx]'s
-   own node, so the observer hook can attribute the transition. *)
-let set_block_state ctx table block st =
+let set_block_state ctx block st =
+  let table = (node_state ctx).Machine.table in
   let first, n = Machine.lines_of_block ctx.m block in
   let old = State_table.get table first in
   for l = first to first + n - 1 do
@@ -209,14 +172,16 @@ let set_block_state ctx table block st =
   done;
   if st <> old then obs_state ctx ~block ~from_:old ~to_:st
 
-let set_block_pending ctx table block v =
+let set_block_pending ctx block v =
+  let table = (node_state ctx).Machine.table in
   let first, n = Machine.lines_of_block ctx.m block in
   for l = first to first + n - 1 do
     State_table.set_pending table l v
   done;
   obs_pending ctx ~block ~set:v
 
-let set_block_pending_downgrade ctx table block v =
+let set_block_pending_downgrade ctx block v =
+  let table = (node_state ctx).Machine.table in
   let first, n = Machine.lines_of_block ctx.m block in
   for l = first to first + n - 1 do
     State_table.set_pending_downgrade table l v
@@ -274,7 +239,7 @@ let write_flag_now ctx block =
 
 let stamp_invalid ctx block =
   let ns = node_state ctx in
-  if fault_is ctx Config.Skip_flag_stamp then
+  if ctx.m.Machine.cfg.Config.fault = Some Config.Skip_flag_stamp then
     (* Test-only fault: leave stale application data behind where the
        invalid-flag pattern belongs. *)
     ()
@@ -283,50 +248,163 @@ let stamp_invalid ctx block =
   else write_flag_now ctx block
 
 (* ------------------------------------------------------------------ *)
-(* Message handling. [deliver] routes to the network unless the
+(* Message handling. The per-block coherence handlers are
+   [Coherence]'s, run here over this machine; synchronization messages
+   are handled below. [deliver] routes to the network unless the
    destination is this very processor, in which case the handler runs
    inline (a processor never sends itself a message; this is the
    requester-is-home fast path of Base-Shasta). *)
 
+let transmit ctx dst msg =
+  if not (Shasta_net.Topology.same_node ctx.m.Machine.topo (pid ctx) dst) then
+    charge ctx ctx.t.Timing.remote_send;
+  let now = Engine.now ctx.eng in
+  Network.send ctx.m.Machine.net ~src:(pid ctx) ~dst ~now
+    ~size:(Msg.size_bytes msg) msg;
+  Engine.sent ctx.eng ~dst;
+  match ctx.m.Machine.observer with
+  | None -> ()
+  | Some o -> o.Observer.on_send ~src:(pid ctx) ~dst ~now msg
+
+(* A processor handling a message about one block. *)
+type view = { ctx : ctx; block : int }
+
+module Handlers = Coherence.Make (struct
+  type t = view
+
+  let pid v = pid v.ctx
+  let block v = v.block
+  let home v = Machine.home_of_block v.ctx.m v.block
+  let node_of v q = Machine.node_of v.ctx.m q
+  let node_procs v = Config.procs_of_node v.ctx.m.Machine.cfg (node v.ctx)
+  let fault v = v.ctx.m.Machine.cfg.Config.fault
+  let table v = (node_state v.ctx).Machine.table
+  let line v = Layout.line_of v.ctx.m.Machine.layout v.block
+  let base v = State_table.get (table v) (line v)
+  let set_base v st = set_block_state v.ctx v.block st
+  let pending v = State_table.pending (table v) (line v)
+  let set_pending v b = set_block_pending v.ctx v.block b
+  let pending_downgrade v = State_table.pending_downgrade (table v) (line v)
+  let set_pending_downgrade v b = set_block_pending_downgrade v.ctx v.block b
+  let private_state v q = private_state v.ctx q v.block
+  let raise_private v q st = raise_private v.ctx q v.block st
+  let lower_private v q st = lower_private v.ctx q v.block st
+  let stamp v = stamp_invalid v.ctx v.block
+
+  let snapshot v =
+    Image.snapshot (node_image v.ctx) ~addr:v.block
+      ~len:(Machine.block_size v.ctx.m v.block)
+
+  (* Reply data merges around the entry's non-blocking stores and the
+     raw writes of active batches; a refetch supersedes any flag write
+     deferred by a batch. *)
+  let install v e data =
+    let ns = node_state v.ctx in
+    Hashtbl.remove ns.Machine.deferred_flags v.block;
+    let batch_skip =
+      Option.value ~default:[]
+        (Hashtbl.find_opt ns.Machine.batch_wranges v.block)
+    in
+    Image.write_bytes ns.Machine.image ~addr:v.block
+      ~skip:(e.Miss_table.store_ranges @ batch_skip)
+      data
+
+  (* The entry lives in the home processor's directory; with the
+     share_directory extension the handler may be running on a
+     colocated processor, so resolve the home explicitly. *)
+  let dir v =
+    let home = home v in
+    Directory.entry v.ctx.m.Machine.dirs.(home) ~block:v.block ~home
+
+  let miss v = Miss_table.find (node_state v.ctx).Machine.misses ~block:v.block
+
+  let retire v e =
+    let ctx = v.ctx in
+    (match ctx.m.Machine.observer with
+    | None -> ()
+    | Some o ->
+      o.Observer.on_miss_end ~proc:(pid v) ~block:v.block
+        ~kind:e.Miss_table.kind ~start:e.Miss_table.start_cycles
+        ~now:(Engine.now ctx.eng));
+    Miss_table.remove (node_state ctx).Machine.misses e;
+    Bitset.iter
+      (fun p ->
+        let q = ctx.m.Machine.procs.(p) in
+        q.Machine.outstanding_stores <- q.Machine.outstanding_stores - 1)
+      e.Miss_table.store_procs
+
+  let downgrade v =
+    Downgrade.find (node_state v.ctx).Machine.downgrades ~block:v.block
+
+  let open_downgrade v ~target ~deferred ~remaining =
+    ignore
+      (Downgrade.add (node_state v.ctx).Machine.downgrades ~block:v.block
+         ~target ~deferred ~remaining)
+
+  let close_downgrade v dg =
+    Downgrade.remove (node_state v.ctx).Machine.downgrades dg
+
+  let transmit v dst msg = transmit v.ctx dst msg
+
+  let charge v cost =
+    let ctx = v.ctx in
+    let t = ctx.t in
+    match cost with
+    | Coherence.Handler -> charge ctx t.Timing.handler_base
+    | Coherence.Node_lock -> if ctx.smp then charge ctx t.Timing.smp_lock
+    | Coherence.Home -> charge ctx t.Timing.handler_home
+    | Coherence.Downgrade_start -> charge ctx t.Timing.downgrade_initiate
+    | Coherence.Downgrade_send -> charge ctx t.Timing.downgrade_send
+    | Coherence.Downgrade_handler -> charge ctx t.Timing.handler_downgrade
+    | Coherence.Data_apply -> charge ctx t.Timing.handler_data_apply
+    | Coherence.Miss_setup -> charge ctx t.Timing.miss_setup
+
+  let note v note =
+    let ctx = v.ctx and block = v.block in
+    let stats = ctx.ps.Machine.stats in
+    match (note, ctx.m.Machine.observer) with
+    | Coherence.Downgrades_sent n, _ ->
+      Histogram.add stats.Stats.downgrade_events n;
+      stats.Stats.downgrades_sent <- stats.Stats.downgrades_sent + n
+    | Coherence.Miss_served { kind; three_hop; start }, _ ->
+      Stats.record_miss stats { Stats.kind; three_hop };
+      if kind = Msg.Read then
+        Stats.record_read_latency stats (Engine.now ctx.eng - start)
+    | _, None -> ()
+    | Coherence.Downgrade_queued (src, msg), Some o ->
+      o.Observer.on_downgrade_queued ~proc:(pid v) ~block ~src
+        ~now:(Engine.now ctx.eng) msg
+    | Coherence.Downgrade_ack, Some o ->
+      o.Observer.on_downgrade_ack ~proc:(pid v) ~block
+        ~now:(Engine.now ctx.eng)
+    | Coherence.Downgrade_done, Some o ->
+      o.Observer.on_downgrade_done ~proc:(pid v) ~block
+        ~now:(Engine.now ctx.eng)
+    | Coherence.Downgrade_replay (src, msg), Some o ->
+      o.Observer.on_downgrade_replay ~proc:(pid v) ~block ~src
+        ~now:(Engine.now ctx.eng) msg
+
+  let mark _ _ = ()
+  let violation v detail = violation v.ctx ~block:v.block detail
+end)
+
 let rec deliver ctx dst msg =
   if dst = pid ctx then handle_message ctx ~src:(pid ctx) msg
-  else begin
-    if not (Shasta_net.Topology.same_node ctx.m.Machine.topo (pid ctx) dst) then
-      charge ctx ctx.t.Timing.remote_send;
-    let now = Engine.now ctx.eng in
-    Network.send ctx.m.Machine.net ~src:(pid ctx) ~dst ~now
-      ~size:(Msg.size_bytes msg) msg;
-    Engine.sent ctx.eng ~dst;
-    match ctx.m.Machine.observer with
-    | None -> ()
-    | Some o -> o.Observer.on_send ~src:(pid ctx) ~dst ~now msg
-  end
+  else transmit ctx dst msg
 
 and handle_message ctx ~src msg =
   charge ctx ctx.t.Timing.handler_base;
-  (match msg with
-  | Msg.Req _ | Msg.Fwd _ | Msg.Data_reply _ | Msg.Upgrade_reply _
-  | Msg.Invalidate _ | Msg.Inval_ack _ | Msg.Sharing_wb _ | Msg.Own_ack _
-  | Msg.Downgrade _ ->
-    if ctx.smp then charge ctx ctx.t.Timing.smp_lock
-  | Msg.Lock_req _ | Msg.Lock_grant _ | Msg.Lock_release _
-  | Msg.Barrier_arrive _ | Msg.Barrier_release _ ->
-    ());
   match msg with
-  | Msg.Req { kind; block } -> handle_dir_request ctx ~src ~kind ~block
-  | Msg.Fwd { kind; block; requester; inval_acks } ->
-    handle_fwd ctx ~src ~kind ~block ~requester ~inval_acks msg
-  | Msg.Data_reply { kind; block; data; from_home; inval_acks } ->
-    handle_data_reply ctx ~kind ~block ~data ~from_home ~inval_acks
-  | Msg.Upgrade_reply { block; inval_acks } ->
-    handle_upgrade_reply ctx ~block ~inval_acks
-  | Msg.Invalidate { block; requester } ->
-    handle_invalidate ctx ~src ~block ~requester msg
-  | Msg.Inval_ack { block } -> handle_inval_ack ctx ~block
-  | Msg.Sharing_wb { block; new_sharer } ->
-    handle_sharing_wb ctx ~block ~new_sharer
-  | Msg.Own_ack { block } -> handle_own_ack ctx ~block
-  | Msg.Downgrade { block; target } -> handle_downgrade_msg ctx ~block ~target
+  | Msg.Req { block; _ }
+  | Msg.Fwd { block; _ }
+  | Msg.Data_reply { block; _ }
+  | Msg.Upgrade_reply { block; _ }
+  | Msg.Invalidate { block; _ }
+  | Msg.Inval_ack { block }
+  | Msg.Sharing_wb { block; _ }
+  | Msg.Own_ack { block }
+  | Msg.Downgrade { block; _ } ->
+    Handlers.handle { ctx; block } ~src msg
   | Msg.Lock_req { lock } -> handle_lock_req ctx ~src ~lock
   | Msg.Lock_grant { lock } -> Hashtbl.replace ctx.ps.Machine.granted lock ()
   | Msg.Lock_release { lock } -> handle_lock_release ctx ~lock
@@ -349,478 +427,6 @@ and handle_message ctx ~src msg =
       bs.Machine.generation <- generation
     end
     else Hashtbl.replace ctx.ps.Machine.barrier_seen barrier generation
-
-(* ---------------- Directory (home) side ---------------- *)
-
-and dir_entry ctx block =
-  (* The entry lives in the home processor's directory; with the
-     share_directory extension the handler may be running on a
-     colocated processor, so resolve the home explicitly. *)
-  let home = Machine.home_of_block ctx.m block in
-  Directory.entry ctx.m.Machine.dirs.(home) ~block ~home
-
-and node_has_valid ctx block =
-  let ns = node_state ctx in
-  let line = Layout.line_of ctx.m.Machine.layout block in
-  let base = State_table.get ns.Machine.table line in
-  base <> State_table.Invalid
-  && (not (State_table.pending ns.Machine.table line))
-  && not (State_table.pending_downgrade ns.Machine.table line)
-
-and handle_dir_request ctx ~src ~kind ~block =
-  charge ctx ctx.t.Timing.handler_home;
-  let e = dir_entry ctx block in
-  if e.Directory.busy then Directory.push_queued e ~src (Msg.Req { kind; block })
-  else
-    match kind with
-    | Msg.Read -> handle_read_request ctx ~src ~block e
-    | Msg.Readex -> handle_readex_request ctx ~src ~block e
-    | Msg.Upgrade ->
-      if Bitset.mem src e.Directory.sharers then
-        handle_upgrade_request ctx ~src ~block e
-      else
-        (* The requester's copy was invalidated while its upgrade was in
-           flight: supply data as for a read-exclusive. *)
-        handle_readex_request ctx ~src ~block e
-
-and handle_read_request ctx ~src ~block e =
-  let ns = node_state ctx in
-  let line = Layout.line_of ctx.m.Machine.layout block in
-  if node_has_valid ctx block then begin
-    match State_table.get ns.Machine.table line with
-    | State_table.Shared ->
-      (* Home has a clean copy: serve directly (2 hops). *)
-      e.Directory.sharers <-
-        Bitset.add src (Bitset.add (pid ctx) e.Directory.sharers);
-      reply_data ctx ~dst:src ~kind:Msg.Read ~block ~inval_acks:0
-    | State_table.Exclusive ->
-      e.Directory.busy <- true;
-      start_node_downgrade ctx ~block ~target:State_table.Shared
-        ~deferred:(Downgrade.Reply_read { requester = src })
-    | State_table.Invalid ->
-      violation ctx ~block "read request: home node valid yet state Invalid"
-  end
-  else begin
-    e.Directory.busy <- true;
-    deliver ctx e.Directory.owner
-      (Msg.Fwd { kind = Msg.Read; block; requester = src; inval_acks = 0 })
-  end
-
-(* Send an invalidation to a sharer — except that a sharer on this very
-   node must be invalidated inline: the home has already serialized the
-   invalidating transaction, and leaving its own node's copy valid until
-   a sibling polls the message would let a later request be served from
-   the dead copy. *)
-and send_invalidate ctx ~block ~requester q =
-  if Machine.node_of ctx.m q = node ctx then
-    handle_invalidate ctx ~src:(pid ctx) ~block ~requester
-      (Msg.Invalidate { block; requester })
-  else deliver ctx q (Msg.Invalidate { block; requester })
-
-and handle_readex_request ctx ~src ~block e =
-  if node_has_valid ctx block then begin
-    (* The home node supplies the data and is itself invalidated;
-       sharers on other nodes (except the requester's) are invalidated
-       with acknowledgements flowing to the requester. *)
-    let invals =
-      List.filter
-        (fun q ->
-          Machine.node_of ctx.m q <> node ctx
-          && Machine.node_of ctx.m q <> Machine.node_of ctx.m src)
-        (Bitset.elements e.Directory.sharers)
-    in
-    List.iter (send_invalidate ctx ~block ~requester:src) invals;
-    let acks = List.length invals in
-    e.Directory.owner <- src;
-    e.Directory.sharers <- Bitset.singleton src;
-    e.Directory.busy <- true;
-    start_node_downgrade ctx ~block ~target:State_table.Invalid
-      ~deferred:(Downgrade.Reply_readex { requester = src; inval_acks = acks })
-  end
-  else begin
-    let owner = e.Directory.owner in
-    let invals =
-      List.filter
-        (fun q ->
-          Machine.node_of ctx.m q <> Machine.node_of ctx.m owner
-          && Machine.node_of ctx.m q <> Machine.node_of ctx.m src)
-        (Bitset.elements e.Directory.sharers)
-    in
-    List.iter (send_invalidate ctx ~block ~requester:src) invals;
-    let acks = List.length invals in
-    e.Directory.owner <- src;
-    e.Directory.sharers <- Bitset.singleton src;
-    e.Directory.busy <- true;
-    deliver ctx owner
-      (Msg.Fwd { kind = Msg.Readex; block; requester = src; inval_acks = acks })
-  end
-
-and handle_upgrade_request ctx ~src ~block e =
-  let invals =
-    List.filter
-      (fun q -> Machine.node_of ctx.m q <> Machine.node_of ctx.m src)
-      (Bitset.elements e.Directory.sharers)
-  in
-  List.iter (send_invalidate ctx ~block ~requester:src) invals;
-  e.Directory.owner <- src;
-  e.Directory.sharers <- Bitset.singleton src;
-  deliver ctx src (Msg.Upgrade_reply { block; inval_acks = List.length invals })
-
-and drain_dir_queue ctx block =
-  let e = dir_entry ctx block in
-  let rec loop () =
-    if not e.Directory.busy then
-      match Directory.pop_queued e with
-      | Some (src, Msg.Req { kind; block = b }) ->
-        assert (b = block);
-        (match kind with
-        | Msg.Read -> handle_read_request ctx ~src ~block e
-        | Msg.Readex -> handle_readex_request ctx ~src ~block e
-        | Msg.Upgrade ->
-          if Bitset.mem src e.Directory.sharers then
-            handle_upgrade_request ctx ~src ~block e
-          else handle_readex_request ctx ~src ~block e);
-        loop ()
-      | Some (_, m) ->
-        violation ctx ~block
-          ("directory queue held a non-request message: " ^ Msg.describe m)
-      | None -> ()
-  in
-  loop ()
-
-and handle_sharing_wb ctx ~block ~new_sharer =
-  let e = dir_entry ctx block in
-  e.Directory.sharers <-
-    Bitset.add new_sharer (Bitset.add e.Directory.owner e.Directory.sharers);
-  e.Directory.busy <- false;
-  drain_dir_queue ctx block
-
-and handle_own_ack ctx ~block =
-  let e = dir_entry ctx block in
-  e.Directory.busy <- false;
-  drain_dir_queue ctx block
-
-(* ---------------- Owner / sharer side ---------------- *)
-
-and snapshot_block ctx block =
-  let ns = node_state ctx in
-  let size = Machine.block_size ctx.m block in
-  Image.snapshot ns.Machine.image ~addr:block ~len:size
-
-and send_data ctx ~dst ~kind ~block ~inval_acks data =
-  let from_home = pid ctx = Machine.home_of_block ctx.m block in
-  deliver ctx dst (Msg.Data_reply { kind; block; data; from_home; inval_acks })
-
-and reply_data ctx ~dst ~kind ~block ~inval_acks =
-  send_data ctx ~dst ~kind ~block ~inval_acks (snapshot_block ctx block)
-
-and handle_fwd ctx ~src ~kind ~block ~requester ~inval_acks msg =
-  let ns = node_state ctx in
-  let line = Layout.line_of ctx.m.Machine.layout block in
-  match Downgrade.find ns.Machine.downgrades ~block with
-  | Some dg ->
-    Downgrade.push_queued dg ~src msg;
-    obs_downgrade_queued ctx ~block ~src msg
-  | None -> (
-    match Miss_table.find ns.Machine.misses ~block with
-    | Some e
-      when (not e.Miss_table.data_ready)
-           && State_table.get ns.Machine.table line = State_table.Invalid ->
-      (* Our data is genuinely in flight: defer until it lands. When the
-         pending request is an upgrade the node still holds a valid
-         (shared) copy and the forwarded request — serialized before our
-         upgrade at the home — must be served immediately instead;
-         deferring it would deadlock against the home's busy queue. *)
-      e.Miss_table.queued_fwds <- (src, msg) :: e.Miss_table.queued_fwds
-    | Some _ | None -> (
-      let base = State_table.get ns.Machine.table line in
-      match kind with
-      | Msg.Read -> (
-        match base with
-        | State_table.Exclusive ->
-          start_node_downgrade ctx ~block ~target:State_table.Shared
-            ~deferred:(Downgrade.Reply_read { requester })
-        | State_table.Shared ->
-          execute_deferred ctx ~block ~target:State_table.Shared
-            ~deferred:(Downgrade.Reply_read { requester })
-        | State_table.Invalid ->
-          violation ctx ~block "read forwarded to an owner with no copy")
-      | Msg.Readex ->
-        if base = State_table.Invalid then
-          violation ctx ~block "readex forwarded to an owner with no copy";
-        start_node_downgrade ctx ~block ~target:State_table.Invalid
-          ~deferred:(Downgrade.Reply_readex { requester; inval_acks })
-      | Msg.Upgrade ->
-        violation ctx ~block
-          "upgrade forwarded to an owner (upgrades are home-served)"))
-
-and handle_invalidate ctx ~src ~block ~requester msg =
-  let ns = node_state ctx in
-  match Downgrade.find ns.Machine.downgrades ~block with
-  | Some dg ->
-    Downgrade.push_queued dg ~src msg;
-    obs_downgrade_queued ctx ~block ~src msg
-  | None -> (
-    match Miss_table.find ns.Machine.misses ~block with
-    | Some e when not e.Miss_table.data_ready ->
-      (* The invalidation raced with our refetch and targets the copy we
-         held when the home serialized the invalidating write — always
-         before our own request. For a pure read fetch the reply data is
-         therefore already stale: apply it, wake waiters, invalidate
-         immediately. For an ownership fetch (read-exclusive, upgrade,
-         or a read with a chained ownership request) the reply grants
-         fresh exclusive ownership serialized after the invalidation —
-         but the node's CURRENT (shared) copy must die right now, or
-         sibling processors could keep reading it after the invalidating
-         writer's release completes. *)
-      if e.Miss_table.kind = Msg.Read then
-        (* Applies to chained-upgrade reads too: the invalidation-aware
-           apply path stamps before the chained ownership request picks
-           its kind, so the chain fetches fresh data. *)
-        e.Miss_table.inval_after_reply <- true
-      else begin
-        let line = Layout.line_of ctx.m.Machine.layout block in
-        if State_table.get ns.Machine.table line <> State_table.Invalid then begin
-          ns.Machine.downgrade_epoch <- ns.Machine.downgrade_epoch + 1;
-          stamp_invalid ctx block;
-          (* Privates drop before the node entry so that no observer
-             (and no sibling in real memory order) ever sees a private
-             entry exceeding the node's; there is no scheduling point in
-             between, so the order is otherwise invisible. *)
-          List.iter
-            (fun q -> lower_private ctx q block State_table.Invalid)
-            (Config.procs_of_node ctx.m.Machine.cfg (node ctx));
-          set_block_state ctx ns.Machine.table block State_table.Invalid
-        end
-      end;
-      deliver ctx requester (Msg.Inval_ack { block })
-    | Some _ | None -> (
-      let line = Layout.line_of ctx.m.Machine.layout block in
-      match State_table.get ns.Machine.table line with
-      | State_table.Shared | State_table.Exclusive ->
-        start_node_downgrade ctx ~block ~target:State_table.Invalid
-          ~deferred:(Downgrade.Inval_done { requester })
-      | State_table.Invalid ->
-        (* Stale invalidation; nothing to do but acknowledge. *)
-        deliver ctx requester (Msg.Inval_ack { block })))
-
-(* ---------------- Downgrades (§3.4.3) ---------------- *)
-
-and start_node_downgrade ctx ~block ~target ~deferred =
-  let ns = node_state ctx in
-  charge ctx ctx.t.Timing.downgrade_initiate;
-  let siblings =
-    List.filter
-      (fun q -> q <> pid ctx)
-      (Config.procs_of_node ctx.m.Machine.cfg (node ctx))
-  in
-  let targets =
-    List.filter
-      (fun q ->
-        State_table.rank (private_state ctx q block) > State_table.rank target)
-      siblings
-  in
-  lower_private ctx (pid ctx) block target;
-  let n = List.length targets in
-  Histogram.add ctx.ps.Machine.stats.Stats.downgrade_events n;
-  ctx.ps.Machine.stats.Stats.downgrades_sent <-
-    ctx.ps.Machine.stats.Stats.downgrades_sent + n;
-  if n = 0 then execute_deferred ctx ~block ~target ~deferred
-  else begin
-    ignore (Downgrade.add ns.Machine.downgrades ~block ~target ~deferred ~remaining:n);
-    set_block_pending_downgrade ctx ns.Machine.table block true;
-    List.iter
-      (fun q ->
-        charge ctx ctx.t.Timing.downgrade_send;
-        deliver ctx q (Msg.Downgrade { block; target }))
-      targets
-  end
-
-and handle_downgrade_msg ctx ~block ~target =
-  charge ctx ctx.t.Timing.handler_downgrade;
-  if not (fault_is ctx Config.Skip_private_downgrade) then
-    lower_private ctx (pid ctx) block target;
-  obs_downgrade_ack ctx ~block;
-  let ns = node_state ctx in
-  match Downgrade.find ns.Machine.downgrades ~block with
-  | None ->
-    violation ctx ~block "downgrade message with no downgrade in progress"
-  | Some dg ->
-    dg.Downgrade.remaining <- dg.Downgrade.remaining - 1;
-    if dg.Downgrade.remaining = 0 then begin
-      Downgrade.remove ns.Machine.downgrades dg;
-      set_block_pending_downgrade ctx ns.Machine.table block false;
-      execute_deferred ctx ~block ~target:dg.Downgrade.target
-        ~deferred:dg.Downgrade.deferred;
-      List.iter
-        (fun (src, msg) ->
-          obs_downgrade_replay ctx ~block ~src msg;
-          handle_message ctx ~src msg)
-        (Downgrade.take_queued dg)
-    end
-
-and execute_deferred ctx ~block ~target ~deferred =
-  let ns = node_state ctx in
-  ns.Machine.downgrade_epoch <- ns.Machine.downgrade_epoch + 1;
-  let home = Machine.home_of_block ctx.m block in
-  obs_downgrade_done ctx ~block;
-  (match Downgrade.find ns.Machine.downgrades ~block with
-  | Some _ ->
-    violation ctx ~block "deferred action ran with a downgrade still pending"
-  | None -> ());
-  (* The snapshot is taken and this node's state fully downgraded
-     BEFORE any message is sent: a reply to a requester on this very
-     node is handled inline, and it must observe the downgraded state
-     (otherwise installing its fresh copy would be undone below). *)
-  match deferred with
-  | Downgrade.Reply_read { requester } ->
-    assert (target = State_table.Shared);
-    let data = snapshot_block ctx block in
-    set_block_state ctx ns.Machine.table block State_table.Shared;
-    send_data ctx ~dst:requester ~kind:Msg.Read ~block ~inval_acks:0 data;
-    if pid ctx = home then handle_sharing_wb ctx ~block ~new_sharer:requester
-    else deliver ctx home (Msg.Sharing_wb { block; new_sharer = requester })
-  | Downgrade.Reply_readex { requester; inval_acks } ->
-    assert (target = State_table.Invalid);
-    ignore home;
-    let data = snapshot_block ctx block in
-    stamp_invalid ctx block;
-    set_block_state ctx ns.Machine.table block State_table.Invalid;
-    (* The home's busy bit is cleared by the REQUESTER's Own_ack when it
-       applies this data: forwarding a later request to the new owner
-       before its data has landed would let it serve stale bytes. *)
-    send_data ctx ~dst:requester ~kind:Msg.Readex ~block ~inval_acks data
-  | Downgrade.Inval_done { requester } ->
-    assert (target = State_table.Invalid);
-    stamp_invalid ctx block;
-    set_block_state ctx ns.Machine.table block State_table.Invalid;
-    deliver ctx requester (Msg.Inval_ack { block })
-  | Downgrade.Recovered ->
-    (* The requester of the original deferred action died; recovery
-       rewrote the entry. Complete the downgrade locally so the node
-       state matches the already-lowered sibling private entries, and
-       send nothing. *)
-    if target = State_table.Invalid then stamp_invalid ctx block;
-    set_block_state ctx ns.Machine.table block target
-
-(* ---------------- Requester side: replies ---------------- *)
-
-and finish_entry ctx e =
-  let ns = node_state ctx in
-  obs_miss_end ctx ~block:e.Miss_table.block ~kind:e.Miss_table.kind
-    ~start:e.Miss_table.start_cycles;
-  Miss_table.remove ns.Machine.misses e;
-  Bitset.iter
-    (fun p ->
-      let q = ctx.m.Machine.procs.(p) in
-      q.Machine.outstanding_stores <- q.Machine.outstanding_stores - 1)
-    e.Miss_table.store_procs
-
-and complete_if_ready ctx e =
-  if Miss_table.complete e then begin
-    let fwds = List.rev e.Miss_table.queued_fwds in
-    e.Miss_table.queued_fwds <- [];
-    finish_entry ctx e;
-    List.iter (fun (src, msg) -> handle_message ctx ~src msg) fwds
-  end
-  else if e.Miss_table.data_ready then begin
-    (* Still awaiting acks, but the data is valid: serve queued
-       forwarded requests now. *)
-    let fwds = List.rev e.Miss_table.queued_fwds in
-    e.Miss_table.queued_fwds <- [];
-    List.iter (fun (src, msg) -> handle_message ctx ~src msg) fwds
-  end
-
-and handle_data_reply ctx ~kind ~block ~data ~from_home ~inval_acks =
-  charge ctx ctx.t.Timing.handler_data_apply;
-  let ns = node_state ctx in
-  match Miss_table.find ns.Machine.misses ~block with
-  | None -> violation ctx ~block "data reply with no outstanding miss"
-  | Some e ->
-    assert (not e.Miss_table.data_ready);
-    (* A refetch supersedes any flag write deferred by an active batch. *)
-    Hashtbl.remove ns.Machine.deferred_flags block;
-    let batch_skip =
-      Option.value ~default:[] (Hashtbl.find_opt ns.Machine.batch_wranges block)
-    in
-    Image.write_bytes ns.Machine.image ~addr:block
-      ~skip:(e.Miss_table.store_ranges @ batch_skip)
-      data;
-    let new_state =
-      match kind with
-      | Msg.Read -> State_table.Shared
-      | Msg.Readex | Msg.Upgrade -> State_table.Exclusive
-    in
-    set_block_state ctx ns.Machine.table block new_state;
-    set_block_pending ctx ns.Machine.table block false;
-    raise_private ctx (pid ctx) block new_state;
-    e.Miss_table.data_ready <- true;
-    e.Miss_table.acks_expected <- inval_acks;
-    if kind = Msg.Readex then begin
-      (* Completion acknowledgement of the ownership transfer. *)
-      let home = Machine.home_of_block ctx.m block in
-      if pid ctx = home then handle_own_ack ctx ~block
-      else deliver ctx home (Msg.Own_ack { block })
-    end;
-    Stats.record_miss ctx.ps.Machine.stats
-      { Stats.kind = e.Miss_table.kind; three_hop = not from_home };
-    if e.Miss_table.kind = Msg.Read then
-      Stats.record_read_latency ctx.ps.Machine.stats
-        (Engine.now ctx.eng - e.Miss_table.start_cycles);
-    if e.Miss_table.inval_after_reply then begin
-      (* Stalled accesses observe [data_ready] and re-run their checks;
-         the block is already gone again. *)
-      e.Miss_table.inval_after_reply <- false;
-      stamp_invalid ctx block;
-      lower_private ctx (pid ctx) block State_table.Invalid;
-      set_block_state ctx ns.Machine.table block State_table.Invalid
-    end;
-    if e.Miss_table.upgrade_after_reply && e.Miss_table.kind = Msg.Read then begin
-      (* A store merged into this read entry while it was pending: chain
-         an ownership request, keeping the entry (and its merged store
-         ranges) alive so that release operations wait for it. *)
-      e.Miss_table.upgrade_after_reply <- false;
-      e.Miss_table.data_ready <- false;
-      e.Miss_table.acks_expected <- -1;
-      let line = Layout.line_of ctx.m.Machine.layout block in
-      let kind2 =
-        if State_table.get ns.Machine.table line = State_table.Shared then
-          Msg.Upgrade
-        else Msg.Readex
-      in
-      e.Miss_table.kind <- kind2;
-      set_block_pending ctx ns.Machine.table block true;
-      charge ctx ctx.t.Timing.miss_setup;
-      deliver ctx (Machine.home_of_block ctx.m block)
-        (Msg.Req { kind = kind2; block })
-    end
-    else complete_if_ready ctx e
-
-and handle_upgrade_reply ctx ~block ~inval_acks =
-  charge ctx ctx.t.Timing.handler_data_apply;
-  let ns = node_state ctx in
-  match Miss_table.find ns.Machine.misses ~block with
-  | None -> violation ctx ~block "upgrade reply with no outstanding miss"
-  | Some e ->
-    assert (not e.Miss_table.data_ready);
-    set_block_state ctx ns.Machine.table block State_table.Exclusive;
-    set_block_pending ctx ns.Machine.table block false;
-    raise_private ctx (pid ctx) block State_table.Exclusive;
-    e.Miss_table.data_ready <- true;
-    e.Miss_table.acks_expected <- inval_acks;
-    Stats.record_miss ctx.ps.Machine.stats
-      { Stats.kind = Msg.Upgrade; three_hop = false };
-    complete_if_ready ctx e
-
-and handle_inval_ack ctx ~block =
-  let ns = node_state ctx in
-  match Miss_table.find ns.Machine.misses ~block with
-  | None -> violation ctx ~block "invalidation ack with no outstanding miss"
-  | Some e ->
-    e.Miss_table.acks_received <- e.Miss_table.acks_received + 1;
-    complete_if_ready ctx e
-
-(* ---------------- Synchronization ---------------- *)
 
 and handle_lock_req ctx ~src ~lock =
   charge ctx ctx.t.Timing.sync_manager;
@@ -970,7 +576,7 @@ let issue_request ctx ~block ~kind =
       ~now:(Engine.now ctx.eng)
   in
   obs_miss_start ctx ~block ~kind;
-  set_block_pending ctx ns.Machine.table block true;
+  set_block_pending ctx block true;
   charge ctx ctx.t.Timing.miss_setup;
   deliver_dir ctx (Machine.home_of_block ctx.m block) (Msg.Req { kind; block });
   e
@@ -1094,7 +700,7 @@ let rec store_miss ctx ~addr ~len write =
             ~now:(Engine.now ctx.eng)
         in
         obs_miss_start ctx ~block ~kind;
-        set_block_pending ctx ns.Machine.table block true;
+        set_block_pending ctx block true;
         ctx.ps.Machine.outstanding_stores <-
           ctx.ps.Machine.outstanding_stores + 1;
         Miss_table.add_store_range e ~off:(addr - block) ~len ~proc:(pid ctx);
@@ -1277,8 +883,7 @@ let batch_begin ctx ranges =
   { b_lines = lines; b_wpieces = wpieces }
 
 (* Replay a batched store piece through the protocol if its block may
-   have lost exclusivity while the batch ran (conservatively detected
-   through the node downgrade epoch): the bytes are still in memory
+   have lost exclusivity while the batch ran: the bytes are still in memory
    (flag writes were deferred by the batch markers and data replies
    merged around the registered ranges), so pushing exactly the declared
    piece through the ordinary non-blocking store path re-serializes the

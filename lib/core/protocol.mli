@@ -10,7 +10,14 @@
     messages only inside {!poll}, which Dsm calls at simulated loop
     backedges and which every stall loop calls while waiting — never
     between an inline check and its corresponding load or store, which is
-    the invariant that makes the downgrade protocol race-free (§3.3). *)
+    the invariant that makes the downgrade protocol race-free (§3.3).
+
+    The per-block coherence handlers are {!Coherence}'s, instantiated
+    here over the machine: this module supplies their substrate (the
+    node's tables and image, the network, cycle charges, observer hooks
+    and statistics) and keeps what is its own — the sync messages,
+    accesses and miss paths, batching, stalls and the drain. The model
+    checker runs the same handlers. *)
 
 exception
   Protocol_violation of {

@@ -76,23 +76,13 @@ let cache : (spec, result) Hashtbl.t = Hashtbl.create 64
 let cache_mutex = Mutex.create ()
 let with_cache f = Mutex.protect cache_mutex f
 
-(* Harness knobs, read once per run. SHASTA_TRACE attaches the metrics
-   observer; SHASTA_CKPT=N (virtual cycles, N > 0) attaches the
-   checkpointing observer so experiment runs pay its logging overhead.
-   Both are observers: with the knobs off nothing is installed and
-   simulated time is bit-identical. *)
+(* Harness knob, read once per run: SHASTA_TRACE attaches the metrics
+   observer. It is an observer: with the knob off nothing is installed,
+   and simulated time is bit-identical either way. *)
 let env_trace () =
   match Sys.getenv_opt "SHASTA_TRACE" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
-
-let env_ckpt () =
-  match Sys.getenv_opt "SHASTA_CKPT" with
-  | None | Some "" | Some "0" -> 0
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> n
-    | _ -> invalid_arg "SHASTA_CKPT: expected 0|interval>=1")
 
 let execute spec =
   let maker = Shasta_apps.Registry.find spec.app in
@@ -120,9 +110,6 @@ let execute spec =
     if env_trace () then Some (Shasta_trace.Metrics.attach (Dsm.machine h))
     else None
   in
-  let ckpt = env_ckpt () in
-  if ckpt > 0 then
-    ignore (Shasta_recover.Checkpoint.attach (Dsm.machine h) ~interval:ckpt);
   let body, verify = inst.App.setup h in
   Dsm.run h body;
   (match san with

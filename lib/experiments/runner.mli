@@ -46,11 +46,9 @@ type result = {
 val run : spec -> result
 (** Execute (or fetch from the cache). Raises [Failure] if the
     application's result verification fails — every experiment run is
-    also a correctness check. Two environment variables attach
-    cycle-neutral observers: [SHASTA_TRACE] (anything but empty or
-    ["0"]) the metrics observer, kept in [metrics]; [SHASTA_CKPT=N]
-    ([N >= 1] cycles) the checkpointer. A malformed [SHASTA_CKPT]
-    raises [Invalid_argument]. *)
+    also a correctness check. [SHASTA_TRACE] (anything but empty or
+    ["0"]) attaches the cycle-neutral metrics observer, kept in
+    [metrics]. *)
 
 val run_batch : ?jobs:int -> spec list -> int
 (** Warm the cache for a list of specs: dedupe the list against itself

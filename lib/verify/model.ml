@@ -1,17 +1,18 @@
 (* Abstract model of the per-block coherence protocol.
 
-   The transition relation below is a pure mirror of the handlers in
-   lib/core/protocol.ml, specialized to the litmus geometry (2 coherence
-   nodes x 2 processors, SMP variant, one block, share_directory off)
-   and stripped of everything that does not affect protocol state:
-   cycle charges, statistics, batching, and data values. Data content is
+   The message handlers are not written here: [Coherence.Make] is the
+   code the simulator runs, instantiated below over an abstract state
+   specialized to the litmus geometry (2 coherence nodes x 2 processors,
+   SMP variant, one block, share_directory off). Data content is
    abstracted to one bit per node copy — [stamped], true iff the copy
    holds the invalid-flag pattern, which is exactly what the inline
-   access-control check reads. The mirrored sites carry the same
-   ordering as the real handlers (privates drop before the node entry,
-   snapshots precede sends, inline self-delivery runs the handler
-   immediately) so that the label stream projected from a transition
-   matches what the Observer hooks of a real run would report.
+   access-control check reads. The substrate drops cycle charges,
+   statistics and observer notes, and emits instead the conformance
+   labels and branch marks that exploration collects.
+
+   What stays here is model-specific: the abstract state and its copy,
+   the checked accesses, the crash transition, the delivery rule, the
+   invariants and the branch lists.
 
    Exhaustive exploration of this model is what makes it useful: the
    simulator's litmus explorer judges only delay-bounded schedules it
@@ -20,105 +21,45 @@
    channel bound. *)
 
 module Config = Shasta_core.Config
+module Msg = Shasta_core.Msg
+module Directory = Shasta_core.Directory
+module Downgrade = Shasta_core.Downgrade
+module Miss_table = Shasta_core.Miss_table
+module St = Shasta_mem.State_table
+module Bitset = Shasta_util.Bitset
 
 let nprocs = 4
 let nnodes = 2
 let node_of p = p / 2
-let sibling p = p lxor 1
 let procs_of_node n = [ 2 * n; (2 * n) + 1 ]
 
-(* ------------------------------------------------------------------ *)
-(* Abstract vocabulary.                                                *)
+(* The one block every message concerns, and the payload of every data
+   reply: data content lives in the [stamped] bit. *)
+let block = 0
+let payload = Bytes.empty
+let rank = St.rank
 
-type base = I | S | E
-
-let rank = function I -> 0 | S -> 1 | E -> 2
-let base_name = function I -> "Invalid" | S -> "Shared" | E -> "Exclusive"
-
-type kind = Read | Readex | Upgrade
-
-let kind_name = function
-  | Read -> "read"
-  | Readex -> "readex"
-  | Upgrade -> "upgrade"
+let base_name = function
+  | St.Invalid -> "Invalid"
+  | St.Shared -> "Shared"
+  | St.Exclusive -> "Exclusive"
 
 (* The coherence subset of the Msg vocabulary (tags 0-12); the sync
    tags 13-17 (locks, barriers) do not touch per-block state and are
    outside the model. *)
-type msg =
-  | Req of kind
-  | Fwd of { kind : kind; requester : int; inval_acks : int }
-  | Data_reply of { kind : kind; from_home : bool; inval_acks : int }
-  | Upgrade_reply of { inval_acks : int }
-  | Invalidate of { requester : int }
-  | Inval_ack
-  | Sharing_wb of { new_sharer : int }
-  | Own_ack
-  | Downgrade of { target : base }
-
 let coherence_tags = 13
-
-let tag = function
-  | Req Read -> 0
-  | Req Readex -> 1
-  | Req Upgrade -> 2
-  | Fwd { kind = Read; _ } -> 3
-  | Fwd { kind = Readex; _ } -> 4
-  | Fwd { kind = Upgrade; _ } -> 5
-  | Data_reply _ -> 6
-  | Upgrade_reply _ -> 7
-  | Invalidate _ -> 8
-  | Inval_ack -> 9
-  | Sharing_wb _ -> 10
-  | Own_ack -> 11
-  | Downgrade _ -> 12
-
-let tag_name t = Shasta_core.Msg.tag_names.(t)
-let msg_name m = tag_name (tag m)
+let tag_name t = Msg.tag_names.(t)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract state.                                                     *)
 
-type deferred =
-  | Reply_read of { requester : int }
-  | Reply_readex of { requester : int; inval_acks : int }
-  | Inval_done of { requester : int }
-  | D_recovered
-      (** crash recovery rewrote a deferred action whose requester died:
-          complete the downgrade locally, send nothing (mirrors
-          [Downgrade.Recovered]) *)
-
-type down = {
-  d_target : base;
-  mutable d_deferred : deferred;  (** mutable for crash-recovery rewrites *)
-  mutable d_remaining : int;
-  mutable d_queued : (int * msg) list;  (** newest first, as in Downgrade *)
-}
-
-type entry = {
-  mutable e_kind : kind;
-  mutable e_ready : bool;
-  mutable e_acks_expected : int;  (** -1 until the reply sets it *)
-  mutable e_acks_received : int;
-  mutable e_uar : bool;  (** upgrade_after_reply *)
-  mutable e_iar : bool;  (** inval_after_reply *)
-  mutable e_fwds : (int * msg) list;  (** newest first *)
-}
-
 type nodest = {
-  mutable nbase : base;
+  mutable nbase : St.base;
   mutable pending : bool;
   mutable pdg : bool;  (** pending_downgrade *)
   mutable stamped : bool;  (** copy holds the invalid-flag pattern *)
-  mutable miss : entry option;
-  mutable down : down option;
-}
-
-type dirst = {
-  mutable owner : int;
-  mutable sharers : int;  (** pid bitset *)
-  mutable busy : bool;
-  mutable queue : (int * kind) list;  (** newest first, as in Directory *)
+  mutable miss : Miss_table.entry option;
+  mutable down : Downgrade.entry option;
 }
 
 (* In-flight messages: one global queue in send order. The real network
@@ -136,16 +77,16 @@ type dirst = {
    later ownership grant) whose races are real unordered-network
    hazards but false alarms against this implementation. *)
 type state = {
-  dir : dirst;
+  dir : Directory.entry;
   nodes : nodest array;  (** length 2 *)
-  priv : base array;  (** length 4 *)
-  mutable net : (int * int * msg) list;  (** (src, dst, msg), send order *)
+  priv : St.base array;  (** length 4 *)
+  mutable net : (int * int * Msg.t) list;  (** (src, dst, msg), send order *)
   mutable s_home : int;  (** current home pid; moves if the home node dies *)
   mutable s_dead : int;  (** node-index bitset of crashed nodes *)
 }
 
-let copy_entry e = { e with e_kind = e.e_kind }
-let copy_down d = { d with d_remaining = d.d_remaining }
+let copy_entry e = { e with Miss_table.kind = e.Miss_table.kind }
+let copy_down d = { d with Downgrade.remaining = d.Downgrade.remaining }
 
 let copy_node n =
   {
@@ -156,7 +97,7 @@ let copy_node n =
 
 let copy_state s =
   {
-    dir = { s.dir with owner = s.dir.owner };
+    dir = { s.dir with Directory.owner = s.dir.Directory.owner };
     nodes = Array.map copy_node s.nodes;
     priv = Array.copy s.priv;
     net = s.net;
@@ -164,20 +105,47 @@ let copy_state s =
     s_dead = s.s_dead;
   }
 
+(* A miss entry stripped of what the model does not track: the entry's
+   identity, requester, start time and merged store ranges. *)
+let new_entry kind =
+  {
+    Miss_table.id = 0;
+    block;
+    requester = 0;
+    start_cycles = 0;
+    kind;
+    data_ready = false;
+    acks_expected = -1;
+    acks_received = 0;
+    store_ranges = [];
+    store_procs = Bitset.empty;
+    upgrade_after_reply = false;
+    inval_after_reply = false;
+    queued_fwds = [];
+  }
+
 let initial ~home =
   {
-    dir = { owner = home; sharers = 0; busy = false; queue = [] };
+    dir =
+      {
+        Directory.owner = home;
+        sharers = Bitset.empty;
+        busy = false;
+        queue = [];
+      };
     nodes =
       Array.init nnodes (fun n ->
           {
-            nbase = (if n = node_of home then E else I);
+            nbase = (if n = node_of home then St.Exclusive else St.Invalid);
             pending = false;
             pdg = false;
             stamped = n <> node_of home;
             miss = None;
             down = None;
           });
-    priv = Array.init nprocs (fun p -> if p = home then E else I);
+    priv =
+      Array.init nprocs (fun p ->
+          if p = home then St.Exclusive else St.Invalid);
     net = [];
     s_home = home;
     s_dead = 0;
@@ -246,474 +214,128 @@ let create ?(home = 2) ?(bound = 2) ?fault ?(crashes = false) () =
   }
 
 let home t = t.st.s_home
-let home_node t = node_of (home t)
 let nd t p = t.st.nodes.(node_of p)
 let violation msg = raise (Model_violation msg)
 let hit t b = t.on_branch b
-
-let fault_is t f = t.fault = Some f
-
-(* Bitset helpers over pids. *)
-let bmem p s = s land (1 lsl p) <> 0
-let badd p s = s lor (1 lsl p)
-let belements s = List.filter (fun p -> bmem p s) [ 0; 1; 2; 3 ]
-
-(* ---------------- label-emitting state updates ---------------- *)
-
 let emit t l = t.on_label l
-let at_home t p = node_of p = home_node t
-
-let set_nbase t p v =
-  let n = nd t p in
-  if v <> n.nbase then
-    emit t (L_state { at_home = at_home t p; from_ = rank n.nbase; to_ = rank v });
-  n.nbase <- v
-
-let set_pending t p v =
-  (nd t p).pending <- v;
-  emit t (L_pending { at_home = at_home t p; set = v })
-
-let set_pdg t p v =
-  (nd t p).pdg <- v;
-  emit t (L_pdg { at_home = at_home t p; set = v })
-
-let raise_private t p q v =
-  let old = t.st.priv.(q) in
-  if rank old < rank v then begin
-    t.st.priv.(q) <- v;
-    emit t
-      (L_private
-         { at_home = at_home t q; self = p = q; from_ = rank old; to_ = rank v })
-  end
-
-let lower_private t p q v =
-  let old = t.st.priv.(q) in
-  if rank old > rank v then begin
-    t.st.priv.(q) <- v;
-    emit t
-      (L_private
-         { at_home = at_home t q; self = p = q; from_ = rank old; to_ = rank v })
-  end
-
-let stamp_invalid t p =
-  if not (fault_is t Config.Skip_flag_stamp) then (nd t p).stamped <- true
-
-let node_has_valid t p =
-  let n = nd t p in
-  n.nbase <> I && (not n.pending) && not n.pdg
-
-(* ---------------- message transport ---------------- *)
+let at_home t p = node_of p = node_of (home t)
 
 (* Minimum-latency rank of a message on a (src, dst) pair: a later
    send can only overtake an earlier in-flight message of strictly
    higher rank (and never one on its own pair). *)
 let rank_of src dst m =
   let cls = if node_of src = node_of dst then 0 else 2 in
-  let weight = match m with Data_reply _ -> 1 | _ -> 0 in
+  let weight = match m with Msg.Data_reply _ -> 1 | _ -> 0 in
   cls + weight
 
-(* [send] mirrors Protocol.deliver: a self-destined message runs its
-   handler inline (requester-is-home fast path); anything else enters
-   the global send-ordered queue. A send pushing one (src, dst) pair
-   past the bound marks the step for pruning by the explorer. *)
-let rec send t p dst m =
-  if dst = p then handle_message t p ~src:p m
-  else begin
+(* ------------------------------------------------------------------ *)
+(* The handlers' substrate: processor [p]'s view of the block.         *)
+
+type view = { m : t; p : int }
+
+module Substrate = struct
+  type nonrec t = view
+
+  let node_procs v = procs_of_node (node_of v.p)
+  let fault v = v.m.fault
+  let base v = (nd v.m v.p).nbase
+
+  let set_base v b =
+    let n = nd v.m v.p in
+    if b <> n.nbase then
+      emit v.m
+        (L_state
+           { at_home = at_home v.m v.p; from_ = rank n.nbase; to_ = rank b });
+    n.nbase <- b
+
+  let pending v = (nd v.m v.p).pending
+
+  let set_pending v b =
+    (nd v.m v.p).pending <- b;
+    emit v.m (L_pending { at_home = at_home v.m v.p; set = b })
+
+  let pending_downgrade v = (nd v.m v.p).pdg
+
+  let set_pending_downgrade v b =
+    (nd v.m v.p).pdg <- b;
+    emit v.m (L_pdg { at_home = at_home v.m v.p; set = b })
+
+  let private_state v q = v.m.st.priv.(q)
+
+  let set_private v q b =
+    let old = v.m.st.priv.(q) in
+    v.m.st.priv.(q) <- b;
+    emit v.m
+      (L_private
+         {
+           at_home = at_home v.m q;
+           self = v.p = q;
+           from_ = rank old;
+           to_ = rank b;
+         })
+
+  let raise_private v q b =
+    if rank v.m.st.priv.(q) < rank b then set_private v q b
+
+  let lower_private v q b =
+    if rank v.m.st.priv.(q) > rank b then set_private v q b
+
+  let stamp v =
+    if v.m.fault <> Some Config.Skip_flag_stamp then
+      (nd v.m v.p).stamped <- true
+
+  let snapshot _ = payload
+  let install v _ _ = (nd v.m v.p).stamped <- false
+  (* The model routes every directory message to the current home. *)
+  let dir v =
+    if v.p <> home v.m then violation "directory entry read off-home";
+    v.m.st.dir
+  let miss v = (nd v.m v.p).miss
+  let retire v _ = (nd v.m v.p).miss <- None
+  let downgrade v = (nd v.m v.p).down
+
+  let open_downgrade v ~target ~deferred ~remaining =
+    (nd v.m v.p).down <-
+      Some { Downgrade.block; target; deferred; remaining; queued = [] }
+
+  let close_downgrade v _ = (nd v.m v.p).down <- None
+
+  (* Append to the global send-ordered queue. A send pushing one
+     (src, dst) pair past the bound marks the step for pruning by the
+     explorer. *)
+  let transmit v dst msg =
+    let t = v.m in
     emit t
       (L_send
          {
-           tg = tag m;
-           src_home = at_home t p;
+           tg = Msg.tag msg;
+           src_home = at_home t v.p;
            dst_home = at_home t dst;
-           same_node = node_of p = node_of dst;
+           same_node = node_of v.p = node_of dst;
          });
-    t.st.net <- t.st.net @ [ (p, dst, m) ];
+    t.st.net <- t.st.net @ [ (v.p, dst, msg) ];
     let pair_depth =
       List.fold_left
-        (fun n (s, d, _) -> if s = p && d = dst then n + 1 else n)
+        (fun n (s, d, _) -> if s = v.p && d = dst then n + 1 else n)
         0 t.st.net
     in
     if pair_depth > t.bound then t.overflow <- true
-  end
 
-and handle_message t p ~src m =
-  hit t ("msg:" ^ msg_name m);
-  match m with
-  | Req kind -> handle_dir_request t p ~src ~kind
-  | Fwd { kind; requester; inval_acks } ->
-    handle_fwd t p ~src ~kind ~requester ~inval_acks m
-  | Data_reply { kind; from_home = _; inval_acks } ->
-    handle_data_reply t p ~kind ~inval_acks
-  | Upgrade_reply { inval_acks } -> handle_upgrade_reply t p ~inval_acks
-  | Invalidate { requester } -> handle_invalidate t p ~src ~requester m
-  | Inval_ack -> handle_inval_ack t p
-  | Sharing_wb { new_sharer } -> handle_sharing_wb t p ~new_sharer
-  | Own_ack -> handle_own_ack t p
-  | Downgrade { target } -> handle_downgrade_msg t p ~target
+  let charge _ _ = ()
+  let note _ _ = ()
+  let mark v b = hit v.m b
+  let violation _ detail = violation detail
 
-(* ---------------- directory (home) side ---------------- *)
+  (* Last, since they shadow the model's own names. *)
+  let pid v = v.p
+  let block _ = block
+  let home v = home v.m
+  let node_of _ q = node_of q
+end
 
-and handle_dir_request t p ~src ~kind =
-  if p <> home t then violation "directory request handled off-home";
-  let e = t.st.dir in
-  if e.busy then begin
-    hit t "dir.busy_queue";
-    e.queue <- (src, kind) :: e.queue
-  end
-  else
-    match kind with
-    | Read -> handle_read_request t p ~src
-    | Readex -> handle_readex_request t p ~src
-    | Upgrade ->
-      if bmem src e.sharers then handle_upgrade_request t p ~src
-      else begin
-        hit t "dir.upgrade_as_readex";
-        handle_readex_request t p ~src
-      end
-
-and handle_read_request t p ~src =
-  let e = t.st.dir in
-  if node_has_valid t p then begin
-    match (nd t p).nbase with
-    | S ->
-      hit t "dir.read.serve_shared";
-      e.sharers <- badd src (badd p e.sharers);
-      reply_data t p ~dst:src ~kind:Read ~inval_acks:0
-    | E ->
-      hit t "dir.read.home_exclusive";
-      e.busy <- true;
-      start_node_downgrade t p ~target:S ~deferred:(Reply_read { requester = src })
-    | I -> violation "read request: home node valid yet state Invalid"
-  end
-  else begin
-    hit t "dir.read.forward";
-    e.busy <- true;
-    send t p e.owner (Fwd { kind = Read; requester = src; inval_acks = 0 })
-  end
-
-and send_invalidate t p ~requester q =
-  if node_of q = node_of p then begin
-    hit t "inval.inline";
-    handle_invalidate t p ~src:p ~requester (Invalidate { requester })
-  end
-  else send t p q (Invalidate { requester })
-
-and handle_readex_request t p ~src =
-  let e = t.st.dir in
-  if node_has_valid t p then begin
-    hit t "dir.readex.home_valid";
-    let invals =
-      List.filter
-        (fun q -> node_of q <> node_of p && node_of q <> node_of src)
-        (belements e.sharers)
-    in
-    List.iter (send_invalidate t p ~requester:src) invals;
-    let acks = List.length invals in
-    e.owner <- src;
-    e.sharers <- badd src 0;
-    e.busy <- true;
-    start_node_downgrade t p ~target:I
-      ~deferred:(Reply_readex { requester = src; inval_acks = acks })
-  end
-  else begin
-    hit t "dir.readex.forward";
-    let owner = e.owner in
-    let invals =
-      List.filter
-        (fun q -> node_of q <> node_of owner && node_of q <> node_of src)
-        (belements e.sharers)
-    in
-    List.iter (send_invalidate t p ~requester:src) invals;
-    let acks = List.length invals in
-    e.owner <- src;
-    e.sharers <- badd src 0;
-    e.busy <- true;
-    send t p owner (Fwd { kind = Readex; requester = src; inval_acks = acks })
-  end
-
-and handle_upgrade_request t p ~src =
-  hit t "dir.upgrade.serve";
-  let e = t.st.dir in
-  let invals =
-    List.filter (fun q -> node_of q <> node_of src) (belements e.sharers)
-  in
-  List.iter (send_invalidate t p ~requester:src) invals;
-  e.owner <- src;
-  e.sharers <- badd src 0;
-  send t p src (Upgrade_reply { inval_acks = List.length invals })
-
-and drain_dir_queue t p =
-  let e = t.st.dir in
-  let rec loop () =
-    if not e.busy then
-      match List.rev e.queue with
-      | [] -> ()
-      | (src, kind) :: rest ->
-        e.queue <- List.rev rest;
-        hit t "dir.drain";
-        (match kind with
-        | Read -> handle_read_request t p ~src
-        | Readex -> handle_readex_request t p ~src
-        | Upgrade ->
-          if bmem src e.sharers then handle_upgrade_request t p ~src
-          else handle_readex_request t p ~src);
-        loop ()
-  in
-  loop ()
-
-and handle_sharing_wb t p ~new_sharer =
-  let e = t.st.dir in
-  e.sharers <- badd new_sharer (badd e.owner e.sharers);
-  e.busy <- false;
-  drain_dir_queue t p
-
-and handle_own_ack t p =
-  t.st.dir.busy <- false;
-  drain_dir_queue t p
-
-(* ---------------- owner / sharer side ---------------- *)
-
-and send_data t p ~dst ~kind ~inval_acks =
-  send t p dst (Data_reply { kind; from_home = p = home t; inval_acks })
-
-and reply_data t p ~dst ~kind ~inval_acks = send_data t p ~dst ~kind ~inval_acks
-
-and handle_fwd t p ~src ~kind ~requester ~inval_acks m =
-  let n = nd t p in
-  match n.down with
-  | Some dg ->
-    hit t "fwd.queued_on_downgrade";
-    dg.d_queued <- (src, m) :: dg.d_queued
-  | None -> (
-    match n.miss with
-    | Some e when (not e.e_ready) && n.nbase = I ->
-      hit t "fwd.queued_on_miss";
-      e.e_fwds <- (src, m) :: e.e_fwds
-    | Some _ | None -> (
-      match kind with
-      | Read -> (
-        match n.nbase with
-        | E ->
-          hit t "fwd.read.exclusive";
-          start_node_downgrade t p ~target:S
-            ~deferred:(Reply_read { requester })
-        | S ->
-          hit t "fwd.read.shared";
-          execute_deferred t p ~target:S ~deferred:(Reply_read { requester })
-        | I -> violation "read forwarded to an owner with no copy")
-      | Readex ->
-        if n.nbase = I then
-          violation "readex forwarded to an owner with no copy";
-        hit t "fwd.readex";
-        start_node_downgrade t p ~target:I
-          ~deferred:(Reply_readex { requester; inval_acks })
-      | Upgrade ->
-        violation "upgrade forwarded to an owner (upgrades are home-served)"))
-
-and handle_invalidate t p ~src ~requester m =
-  let n = nd t p in
-  match n.down with
-  | Some dg ->
-    hit t "inval.queued_on_downgrade";
-    dg.d_queued <- (src, m) :: dg.d_queued
-  | None -> (
-    match n.miss with
-    | Some e when not e.e_ready ->
-      (if e.e_kind = Read then begin
-         hit t "inval.mark_after_reply";
-         e.e_iar <- true
-       end
-       else begin
-         hit t "inval.kill_current_copy";
-         if n.nbase <> I then begin
-           stamp_invalid t p;
-           List.iter
-             (fun q -> lower_private t p q I)
-             (procs_of_node (node_of p));
-           set_nbase t p I
-         end
-       end);
-      send t p requester Inval_ack
-    | Some _ | None -> (
-      match n.nbase with
-      | S | E ->
-        hit t "inval.downgrade";
-        start_node_downgrade t p ~target:I
-          ~deferred:(Inval_done { requester })
-      | I ->
-        hit t "inval.stale_ack";
-        send t p requester Inval_ack))
-
-(* ---------------- downgrades (section 3.4.3) ---------------- *)
-
-and start_node_downgrade t p ~target ~deferred =
-  let n = nd t p in
-  let targets =
-    List.filter
-      (fun q -> rank t.st.priv.(q) > rank target)
-      [ sibling p ]
-  in
-  lower_private t p p target;
-  match targets with
-  | [] ->
-    hit t "downgrade.immediate";
-    execute_deferred t p ~target ~deferred
-  | _ ->
-    hit t "downgrade.sibling";
-    if n.down <> None then
-      violation "downgrade started with one already in progress";
-    n.down <-
-      Some
-        {
-          d_target = target;
-          d_deferred = deferred;
-          d_remaining = List.length targets;
-          d_queued = [];
-        };
-    set_pdg t p true;
-    List.iter (fun q -> send t p q (Downgrade { target })) targets
-
-and handle_downgrade_msg t p ~target =
-  if not (fault_is t Config.Skip_private_downgrade) then
-    lower_private t p p target;
-  let n = nd t p in
-  match n.down with
-  | None -> violation "downgrade message with no downgrade in progress"
-  | Some dg ->
-    dg.d_remaining <- dg.d_remaining - 1;
-    if dg.d_remaining = 0 then begin
-      hit t "downgrade.complete";
-      n.down <- None;
-      set_pdg t p false;
-      execute_deferred t p ~target:dg.d_target ~deferred:dg.d_deferred;
-      List.iter
-        (fun (src, m) ->
-          hit t "downgrade.replay";
-          handle_message t p ~src m)
-        (List.rev dg.d_queued)
-    end
-
-and execute_deferred t p ~target ~deferred =
-  let n = nd t p in
-  if n.down <> None then
-    violation "deferred action ran with a downgrade still pending";
-  match deferred with
-  | Reply_read { requester } ->
-    if target <> S then violation "read downgrade with a non-Shared target";
-    hit t "deferred.reply_read";
-    set_nbase t p S;
-    send_data t p ~dst:requester ~kind:Read ~inval_acks:0;
-    if p = home t then handle_sharing_wb t p ~new_sharer:requester
-    else send t p (home t) (Sharing_wb { new_sharer = requester })
-  | Reply_readex { requester; inval_acks } ->
-    if target <> I then violation "readex downgrade with a non-Invalid target";
-    hit t "deferred.reply_readex";
-    stamp_invalid t p;
-    set_nbase t p I;
-    send_data t p ~dst:requester ~kind:Readex ~inval_acks
-  | Inval_done { requester } ->
-    if target <> I then violation "inval downgrade with a non-Invalid target";
-    hit t "deferred.inval_done";
-    stamp_invalid t p;
-    set_nbase t p I;
-    send t p requester Inval_ack
-  | D_recovered ->
-    (* Crash recovery rewrote the deferred action (its requester died or
-       its transaction was restarted): complete the downgrade locally and
-       send nothing, mirroring Downgrade.Recovered in lib/core. *)
-    hit t "deferred.recovered";
-    if target = I then stamp_invalid t p;
-    set_nbase t p target
-
-(* ---------------- requester side: replies ---------------- *)
-
-and complete_if_ready t p e =
-  let n = nd t p in
-  let complete =
-    e.e_ready && e.e_acks_expected >= 0
-    && e.e_acks_received >= e.e_acks_expected
-  in
-  if complete then begin
-    hit t "entry.retire";
-    let fwds = List.rev e.e_fwds in
-    e.e_fwds <- [];
-    n.miss <- None;
-    List.iter (fun (src, m) -> handle_message t p ~src m) fwds
-  end
-  else if e.e_ready then begin
-    let fwds = List.rev e.e_fwds in
-    e.e_fwds <- [];
-    if fwds <> [] then hit t "entry.serve_early";
-    List.iter (fun (src, m) -> handle_message t p ~src m) fwds
-  end
-
-and handle_data_reply t p ~kind ~inval_acks =
-  let n = nd t p in
-  match n.miss with
-  | None -> violation "data reply with no outstanding miss"
-  | Some e ->
-    if e.e_ready then violation "data reply on an already-ready entry";
-    n.stamped <- false;
-    let new_state = match kind with Read -> S | Readex | Upgrade -> E in
-    set_nbase t p new_state;
-    set_pending t p false;
-    raise_private t p p new_state;
-    e.e_ready <- true;
-    e.e_acks_expected <- inval_acks;
-    if kind = Readex then
-      if p = home t then handle_own_ack t p else send t p (home t) Own_ack;
-    if e.e_iar then begin
-      hit t "entry.inval_after_reply";
-      e.e_iar <- false;
-      stamp_invalid t p;
-      lower_private t p p I;
-      set_nbase t p I
-    end;
-    if e.e_uar && e.e_kind = Read then begin
-      hit t "entry.chain_ownership";
-      e.e_uar <- false;
-      e.e_ready <- false;
-      e.e_acks_expected <- -1;
-      let kind2 = if n.nbase = S then Upgrade else Readex in
-      e.e_kind <- kind2;
-      set_pending t p true;
-      send t p (home t) (Req kind2)
-    end
-    else complete_if_ready t p e
-
-and handle_upgrade_reply t p ~inval_acks =
-  let n = nd t p in
-  match n.miss with
-  | None -> violation "upgrade reply with no outstanding miss"
-  | Some e ->
-    if e.e_ready then violation "upgrade reply on an already-ready entry";
-    set_nbase t p E;
-    set_pending t p false;
-    raise_private t p p E;
-    e.e_ready <- true;
-    e.e_acks_expected <- inval_acks;
-    complete_if_ready t p e
-
-and handle_inval_ack t p =
-  let n = nd t p in
-  match n.miss with
-  | None -> violation "invalidation ack with no outstanding miss"
-  | Some e ->
-    e.e_acks_received <- e.e_acks_received + 1;
-    complete_if_ready t p e
+module Handlers = Shasta_core.Coherence.Make (Substrate)
 
 (* ---------------- processor accesses ---------------- *)
-
-let new_entry kind =
-  {
-    e_kind = kind;
-    e_ready = false;
-    e_acks_expected = -1;
-    e_acks_received = 0;
-    e_uar = false;
-    e_iar = false;
-    e_fwds = [];
-  }
 
 (* Checked load: the inline check reads the copy's content; only a
    flagged word enters the protocol (Protocol.load_miss). An Invalid
@@ -722,32 +344,34 @@ let new_entry kind =
    data without any protocol action -- which is exactly how that fault
    manifests in the real system. *)
 let do_load t p =
+  let v = { m = t; p } in
   let n = nd t p in
   if not n.stamped then hit t "load.hit"
-  else if n.nbase <> I then begin
+  else if n.nbase <> St.Invalid then begin
     (* False miss (flagged content over a valid copy). Unreachable in
        the one-word abstraction -- kept as the mirror of load_miss's
        Valid branch so the dead-branch report documents it. *)
     if n.pdg then hit t "load.pdg_consume"
     else if rank t.st.priv.(p) = 0 then begin
       hit t "load.private_upgrade";
-      raise_private t p p S
+      Substrate.raise_private v p St.Shared
     end
     else hit t "load.false_miss"
   end
   else
     match n.miss with
-    | Some e when not e.e_ready -> hit t "load.stall_data"
+    | Some e when not e.Miss_table.data_ready -> hit t "load.stall_data"
     | Some _ -> hit t "load.stall_drain"
     | None ->
       hit t "load.issue";
-      n.miss <- Some (new_entry Read);
-      set_pending t p true;
-      send t p (home t) (Req Read)
+      n.miss <- Some (new_entry Msg.Read);
+      Substrate.set_pending v true;
+      Handlers.send v (home t) (Msg.Req { kind = Msg.Read; block })
 
 (* Checked store: private Exclusive writes through; anything else
    enters Protocol.store_miss. *)
 let do_store t p =
+  let v = { m = t; p } in
   let n = nd t p in
   if rank t.st.priv.(p) = 2 then begin
     hit t "store.hit";
@@ -755,29 +379,30 @@ let do_store t p =
   end
   else begin
     let pdg = n.pdg and base = n.nbase in
-    if pdg && base = E then begin
+    if pdg && base = St.Exclusive then begin
       hit t "store.pre_downgrade";
       n.stamped <- false
     end
-    else if (not pdg) && base = E then begin
+    else if (not pdg) && base = St.Exclusive then begin
       hit t "store.private_upgrade";
-      if rank t.st.priv.(p) < 2 then raise_private t p p E;
+      Substrate.raise_private v p St.Exclusive;
       n.stamped <- false
     end
     else
       match n.miss with
-      | Some e when e.e_ready -> hit t "store.stall_drain"
+      | Some e when e.Miss_table.data_ready -> hit t "store.stall_drain"
       | Some e ->
         hit t "store.merge";
-        if e.e_kind = Read then e.e_uar <- true;
+        if e.Miss_table.kind = Msg.Read then
+          e.Miss_table.upgrade_after_reply <- true;
         n.stamped <- false
       | None ->
         hit t "store.issue";
-        let kind = if base = S then Upgrade else Readex in
+        let kind = if base = St.Shared then Msg.Upgrade else Msg.Readex in
         n.miss <- Some (new_entry kind);
-        set_pending t p true;
+        Substrate.set_pending v true;
         n.stamped <- false;
-        send t p (home t) (Req kind)
+        Handlers.send v (home t) (Msg.Req { kind; block })
   end
 
 (* ------------------------------------------------------------------ *)
@@ -800,7 +425,7 @@ let crash_rep t n' =
     (2 * n') (procs_of_node n')
 
 let msg_requester = function
-  | Fwd { requester; _ } | Invalidate { requester } -> Some requester
+  | Msg.Fwd { requester; _ } | Msg.Invalidate { requester; _ } -> Some requester
   | _ -> None
 
 let do_crash t n =
@@ -811,8 +436,9 @@ let do_crash t n =
   let dn = st.nodes.(n) and ln = st.nodes.(n') in
   let d = st.dir in
   let dead_had_state =
-    dn.nbase <> I || dn.pending || dn.pdg || dn.miss <> None || dn.down <> None
-    || List.exists (fun p -> st.priv.(p) <> I) (procs_of_node n)
+    dn.nbase <> St.Invalid || dn.pending || dn.pdg || dn.miss <> None
+    || dn.down <> None
+    || List.exists (fun p -> st.priv.(p) <> St.Invalid) (procs_of_node n)
   in
   (* Fail-stop: in-flight messages with a dead endpoint vanish. *)
   let harvested, kept =
@@ -822,13 +448,13 @@ let do_crash t n =
   st.s_dead <- st.s_dead lor (1 lsl n);
   (* Scrub the dead node: tables Invalid, copies flag-stamped,
      transients cleared — the node no longer exists. *)
-  dn.nbase <- I;
+  dn.nbase <- St.Invalid;
   dn.pending <- false;
   dn.pdg <- false;
   dn.stamped <- true;
   dn.miss <- None;
   dn.down <- None;
-  List.iter (fun p -> st.priv.(p) <- I) (procs_of_node n);
+  List.iter (fun p -> st.priv.(p) <- St.Invalid) (procs_of_node n);
   (* A dead-homed block re-homes to the surviving node. *)
   let home_died = node_of st.s_home = n in
   if home_died then begin
@@ -840,25 +466,27 @@ let do_crash t n =
     || match msg_requester m with Some r -> dead_pid r | None -> false
   in
   let dir_refs_dead =
-    dead_pid d.owner
-    || List.exists dead_pid (belements d.sharers)
-    || List.exists (fun (src, _) -> dead_pid src) d.queue
+    dead_pid d.Directory.owner
+    || List.exists dead_pid (Bitset.elements d.Directory.sharers)
+    || List.exists (fun (src, _) -> dead_pid src) d.Directory.queue
   in
   let deferred_refs_dead = function
-    | Reply_read { requester }
-    | Reply_readex { requester; _ }
-    | Inval_done { requester } -> dead_pid requester
-    | D_recovered -> false
+    | Downgrade.Reply_read { requester }
+    | Downgrade.Reply_readex { requester; _ }
+    | Downgrade.Inval_done { requester } ->
+      dead_pid requester
+    | Downgrade.Recovered -> false
   in
   let dg_refs_dead =
     match ln.down with
     | Some dg ->
-      deferred_refs_dead dg.d_deferred || List.exists refs_dead dg.d_queued
+      deferred_refs_dead dg.Downgrade.deferred
+      || List.exists refs_dead dg.Downgrade.queued
     | None -> false
   in
   let entry_refs_dead =
     match ln.miss with
-    | Some e -> List.exists refs_dead e.e_fwds
+    | Some e -> List.exists refs_dead e.Miss_table.queued_fwds
     | None -> false
   in
   let live_msg_refs_dead =
@@ -878,7 +506,7 @@ let do_crash t n =
        before sending), so the sender's copy is restored. *)
     let cancelled, kept =
       List.partition
-        (fun (_, _, m) -> match m with Downgrade _ -> false | _ -> true)
+        (fun (_, _, m) -> match m with Msg.Downgrade _ -> false | _ -> true)
         st.net
     in
     st.net <- kept;
@@ -886,12 +514,12 @@ let do_crash t n =
     List.iter
       (fun (s, _, m) ->
         match m with
-        | Data_reply { kind = Readex | Upgrade; _ } ->
+        | Msg.Data_reply { kind = Msg.Readex | Msg.Upgrade; _ } ->
           hit t "crash.unsend_data";
           let sn = st.nodes.(node_of s) in
           sn.stamped <- false;
-          sn.nbase <- E;
-          st.priv.(s) <- E
+          sn.nbase <- St.Exclusive;
+          st.priv.(s) <- St.Exclusive
         | _ -> ())
       cancelled;
     (* A surviving in-progress downgrade completes locally: its queued
@@ -900,18 +528,20 @@ let do_crash t n =
     (match ln.down with
     | Some dg ->
       hit t "crash.dg_recovered";
-      dg.d_queued <- [];
-      dg.d_deferred <- D_recovered
+      dg.Downgrade.queued <- [];
+      dg.Downgrade.deferred <- Downgrade.Recovered
     | None -> ());
     (* Rebuild the directory entry from the survivor's state. *)
     let rp = crash_rep t n' in
-    d.queue <- [];
-    d.busy <- false;
-    d.owner <- rp;
-    d.sharers <- badd rp 0;
-    let eff = match ln.down with Some dg -> dg.d_target | None -> ln.nbase in
+    d.Directory.queue <- [];
+    d.Directory.busy <- false;
+    d.Directory.owner <- rp;
+    d.Directory.sharers <- Bitset.singleton rp;
+    let eff =
+      match ln.down with Some dg -> dg.Downgrade.target | None -> ln.nbase
+    in
     let rescued = ref false in
-    if eff <> I then hit t "crash.rebuild"
+    if eff <> St.Invalid then hit t "crash.rebuild"
     else begin
       match ln.down with
       | Some dg ->
@@ -922,19 +552,11 @@ let do_crash t n =
            ownership (and its Own_ack clears the busy bit). *)
         hit t "crash.rescue";
         rescued := true;
-        (match ln.miss with
-        | Some e ->
-          e.e_kind <- Readex;
-          e.e_ready <- false;
-          e.e_acks_expected <- -1;
-          e.e_acks_received <- 0;
-          e.e_uar <- false;
-          e.e_iar <- false;
-          e.e_fwds <- []
-        | None -> ln.miss <- Some (new_entry Readex));
+        ln.miss <- Some (new_entry Msg.Readex);
         ln.pending <- true;
-        dg.d_deferred <- Reply_readex { requester = rp; inval_acks = 0 };
-        d.busy <- true
+        dg.Downgrade.deferred <-
+          Downgrade.Reply_readex { requester = rp; inval_acks = 0 };
+        d.Directory.busy <- true
       | None -> (
         (* Every copy of the block died with the node. *)
         match ln.miss with
@@ -946,7 +568,11 @@ let do_crash t n =
              here; that typed failure is exercised by the concrete
              crash tests, not modeled as a transition.) *)
           hit t "crash.data_loss";
-          let ns = match e.e_kind with Read when not e.e_uar -> S | _ -> E in
+          let ns =
+            match e.Miss_table.kind with
+            | Msg.Read when not e.Miss_table.upgrade_after_reply -> St.Shared
+            | _ -> St.Exclusive
+          in
           ln.stamped <- false;
           ln.nbase <- ns;
           ln.pending <- false;
@@ -957,7 +583,7 @@ let do_crash t n =
              the (new) home, as sharer-pull recovery does. *)
           hit t "crash.reinit";
           ln.stamped <- false;
-          ln.nbase <- E)
+          ln.nbase <- St.Exclusive)
     end;
     (* Re-issue the survivor's outstanding miss — last, once the
        directory is consistent, because a self-destined Req runs its
@@ -966,21 +592,18 @@ let do_crash t n =
       match ln.miss with
       | Some e ->
         hit t "crash.reissue";
-        e.e_fwds <- [];
-        e.e_acks_received <- 0;
-        let k =
-          if e.e_ready then begin
-            (* The data already arrived; only acknowledgements died.
-               Re-secure ownership with a fresh upgrade transaction. *)
-            e.e_ready <- false;
-            e.e_kind <- Upgrade;
-            Upgrade
-          end
-          else e.e_kind
-        in
-        e.e_acks_expected <- -1;
+        e.Miss_table.queued_fwds <- [];
+        e.Miss_table.acks_received <- 0;
+        if e.Miss_table.data_ready then begin
+          (* The data already arrived; only acknowledgements died.
+             Re-secure ownership with a fresh upgrade transaction. *)
+          e.Miss_table.data_ready <- false;
+          e.Miss_table.kind <- Msg.Upgrade
+        end;
+        e.Miss_table.acks_expected <- -1;
         ln.pending <- true;
-        send t rp (home t) (Req k)
+        Handlers.send { m = t; p = rp } (home t)
+          (Msg.Req { kind = e.Miss_table.kind; block })
       | None -> ()
   end
 
@@ -1038,12 +661,12 @@ let describe_action st = function
   | Deliver { src; dst } -> (
     match List.find_opt (fun (s, d, _) -> s = src && d = dst) st.net with
     | Some (_, _, m) ->
-      Printf.sprintf "deliver %s p%d->p%d" (msg_name m) src dst
+      Printf.sprintf "deliver %s p%d->p%d" (Msg.describe m) src dst
     | None -> Printf.sprintf "deliver <empty> p%d->p%d" src dst)
   | Crash n -> Printf.sprintf "crash node %d" n
 
 (* Execute [action] against [t.st], mutating it in place. Raises
-   [Model_violation] when a handler reaches one of the real protocol's
+   [Model_violation] when a handler reaches one of the protocol's
    impossible-configuration checks; sets [t.overflow] when a send
    exceeded the channel bound (the explorer prunes the result). *)
 let step t action =
@@ -1063,7 +686,7 @@ let step t action =
     in
     let m, rest = take t.st.net in
     t.st.net <- rest;
-    handle_message t dst ~src m)
+    Handlers.handle { m = t; p = dst } ~src m)
   | Crash n ->
     if not t.crashes then violation "crash action on a crash-free model";
     if t.st.s_dead <> 0 then violation "second crash (last live node)";
@@ -1079,7 +702,7 @@ let transient st =
   Array.exists
     (fun n -> n.miss <> None || n.down <> None || n.pending || n.pdg)
     st.nodes
-  || st.dir.busy || st.dir.queue <> []
+  || st.dir.Directory.busy || st.dir.Directory.queue <> []
 
 let check_invariants st =
   let bad = ref [] in
@@ -1089,11 +712,11 @@ let check_invariants st =
   Array.iteri
     (fun i n ->
       (match n.nbase with
-      | E ->
+      | St.Exclusive ->
         incr exclusive;
         incr valid
-      | S -> incr valid
-      | I -> ());
+      | St.Shared -> incr valid
+      | St.Invalid -> ());
       if n.pending && n.miss = None then
         push (Printf.sprintf "node %d: pending with no outstanding miss" i);
       (match (n.pdg, n.down) with
@@ -1103,7 +726,7 @@ let check_invariants st =
         push
           (Printf.sprintf "node %d: downgrade entry without pending-downgrade bit" i)
       | _ -> ());
-      if (not tr) && n.nbase = I && not n.stamped then
+      if (not tr) && n.nbase = St.Invalid && not n.stamped then
         push (Printf.sprintf "node %d: invalid without flag pattern" i))
     st.nodes;
   if !exclusive > 1 then push (Printf.sprintf "%d exclusive nodes" !exclusive);
@@ -1121,7 +744,9 @@ let check_invariants st =
   List.rev !bad
 
 (* ------------------------------------------------------------------ *)
-(* The complete branch vocabulary, for the dead-branch report. *)
+(* The complete branch vocabulary, for the dead-branch report: the
+   handlers' marks (Coherence), the checked accesses' and the crash
+   transition's. *)
 
 let all_branches =
   [
@@ -1198,7 +823,7 @@ let crash_branches =
 
    These hold for this geometry and delivery discipline, not for the
    full simulator: the dynamic litmus/fuzz harnesses do exercise the
-   queued-forward and replay paths of lib/core/protocol.ml. *)
+   queued-forward and replay paths of the same handlers. *)
 let expected_dead =
   [
     "msg:upgrade_fwd";

@@ -1,51 +1,18 @@
-(** Abstract model of the per-block coherence protocol: a pure mirror
-    of the [lib/core/protocol.ml] handlers, specialized to the litmus
-    geometry (2 coherence nodes x 2 processors, SMP variant, one block)
-    with data abstracted to one invalid-flag bit per node copy.
+(** Abstract model of the per-block coherence protocol: the simulator's
+    own handlers ({!Shasta_core.Coherence.Make}) run over an abstract
+    state specialized to the litmus geometry (2 coherence nodes x 2
+    processors, SMP variant, one block) with data abstracted to one
+    invalid-flag bit per node copy. This module adds only what is
+    model-specific: that state, the checked load and store, the crash
+    transition, the delivery rule, the invariants and the branch lists.
     {!Reach} enumerates its complete reachable state space under a
-    channel bound; {!Conform} checks real runs against its label set. *)
-
-(** {1 Geometry} *)
-
-val nprocs : int
-(** 4: two processors on each of two coherence nodes. *)
-
-val nnodes : int
-val node_of : int -> int
-val sibling : int -> int
-
-(** {1 Vocabulary} *)
-
-type base = I | S | E
-
-val rank : base -> int
-val base_name : base -> string
-
-type kind = Read | Readex | Upgrade
-
-val kind_name : kind -> string
-
-(** The coherence subset of the {!Shasta_core.Msg} vocabulary (tags
-    0-12); sync messages (locks, barriers) do not touch per-block state
-    and are outside the model. *)
-type msg =
-  | Req of kind
-  | Fwd of { kind : kind; requester : int; inval_acks : int }
-  | Data_reply of { kind : kind; from_home : bool; inval_acks : int }
-  | Upgrade_reply of { inval_acks : int }
-  | Invalidate of { requester : int }
-  | Inval_ack
-  | Sharing_wb of { new_sharer : int }
-  | Own_ack
-  | Downgrade of { target : base }
+    channel bound; {!Conform} checks that real runs stay inside its
+    label set. *)
 
 val coherence_tags : int
-(** 13: model messages map onto [Msg] tags [0 .. coherence_tags - 1]. *)
-
-val tag : msg -> int
-(** Index into {!Shasta_core.Msg.tag_names}. *)
-
-val msg_name : msg -> string
+(** 13: the model's messages are the {!Shasta_core.Msg} coherence
+    classes, tags [0 .. coherence_tags - 1]; sync messages (locks,
+    barriers) do not touch per-block state and are outside the model. *)
 
 (** {1 Abstract state}
 
@@ -53,61 +20,7 @@ val msg_name : msg -> string
     {!copy_state} before each step and never mutates a state after
     interning it, so structural equality and hashing canonicalize. *)
 
-type deferred =
-  | Reply_read of { requester : int }
-  | Reply_readex of { requester : int; inval_acks : int }
-  | Inval_done of { requester : int }
-  | D_recovered
-      (** crash recovery rewrote a deferred action whose transaction was
-          restarted: complete the downgrade locally, send nothing
-          (mirrors [Downgrade.Recovered]) *)
-
-type down = {
-  d_target : base;
-  mutable d_deferred : deferred;  (** mutable for crash-recovery rewrites *)
-  mutable d_remaining : int;
-  mutable d_queued : (int * msg) list;
-}
-
-type entry = {
-  mutable e_kind : kind;
-  mutable e_ready : bool;
-  mutable e_acks_expected : int;
-  mutable e_acks_received : int;
-  mutable e_uar : bool;
-  mutable e_iar : bool;
-  mutable e_fwds : (int * msg) list;
-}
-
-type nodest = {
-  mutable nbase : base;
-  mutable pending : bool;
-  mutable pdg : bool;
-  mutable stamped : bool;
-  mutable miss : entry option;
-  mutable down : down option;
-}
-
-type dirst = {
-  mutable owner : int;
-  mutable sharers : int;
-  mutable busy : bool;
-  mutable queue : (int * kind) list;
-}
-
-type state = {
-  dir : dirst;
-  nodes : nodest array;
-  priv : base array;
-  mutable net : (int * int * msg) list;
-      (** in-flight messages as (src, dst, msg) in send order —
-          delivery follows the simulator's arrival-order semantics with
-          minimum-latency ranks (see {!enabled_actions}) *)
-  mutable s_home : int;
-      (** current home pid; moves to the surviving node if the home
-          node crashes *)
-  mutable s_dead : int;  (** node-index bitset of crashed nodes *)
-}
+type state
 
 val copy_state : state -> state
 
@@ -133,11 +46,11 @@ val describe_label : label -> string
 (** {1 Stepping} *)
 
 exception Model_violation of string
-(** A handler reached one of the real protocol's
-    impossible-configuration checks ([Protocol_violation] sites). *)
+(** A handler reached one of the protocol's impossible-configuration
+    checks (the simulator's [Protocol_violation] sites). *)
 
 type t = {
-  home : int;  (** initial home (the current home lives in [st.s_home]) *)
+  home : int;  (** initial home (the current home lives in [st]) *)
   bound : int;
   fault : Shasta_core.Config.fault option;
   crashes : bool;  (** enable the node-crash transition *)
@@ -157,9 +70,6 @@ val create :
 (** [home] defaults to 2 (so the home node also has a non-home sibling
     processor), [bound] to 2 in-flight messages per (src, dst) pair,
     [crashes] to false (no crash transition). *)
-
-val home : t -> int
-(** The current home pid ([t.st.s_home]). *)
 
 type action =
   | Load of int
@@ -202,8 +112,9 @@ val check_invariants : state -> string list
 (** {1 Coverage} *)
 
 val all_branches : string list
-(** Every branch name the transition relation can emit, for the
-    dead-branch report. *)
+(** Every branch name a step can mark — the shared handlers', the
+    checked accesses' and the crash transition's — for the dead-branch
+    report. *)
 
 val expected_dead : string list
 (** Branches structurally unreachable in the abstraction — one-word

@@ -8,7 +8,9 @@
    being added to the table, so structural equality and hashing give
    each reachable configuration exactly one id. BFS order makes the
    parent chain of the first violating step a minimal counterexample
-   (fewest actions from the initial state). *)
+   (fewest actions from the initial state). Only the chain's actions
+   are kept; a counterexample is described by replaying them from the
+   initial state. *)
 
 module M = Model
 
@@ -57,15 +59,14 @@ let explore (p : params) =
      whole pass. The tables are only probed, never iterated, so their
      size cannot change the output. *)
   let ids : (M.state, int) Hashtbl.t = Hashtbl.create 1024 in
-  let by_id : (int, M.state) Hashtbl.t = Hashtbl.create 1024 in
-  (* id -> (parent id, action description); absent for the root *)
-  let parent : (int, int * string) Hashtbl.t = Hashtbl.create 1024 in
+  (* id -> (parent id, action); absent for the root *)
+  let parent : (int, int * M.action) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let next = ref 0 in
   let capped = ref false in
   let edges = ref 0 in
   let violations = ref [] in
-  let intern st ~from_ ~act =
+  let intern st link =
     match Hashtbl.find_opt ids st with
     | Some _ -> None
     | None ->
@@ -77,20 +78,28 @@ let explore (p : params) =
         let id = !next in
         incr next;
         Hashtbl.add ids st id;
-        Hashtbl.add by_id id st;
-        if from_ >= 0 then Hashtbl.add parent id (from_, act);
-        Queue.add id queue;
+        Option.iter (Hashtbl.add parent id) link;
+        Queue.add (id, st) queue;
         Some id
       end
   in
-  (* Action path from the initial state to [id], plus [extra] steps. *)
+  (* The actions from the initial state to [id], plus [extra], each
+     described against the state it was taken in. *)
   let trace_to id extra =
     let rec walk id acc =
       match Hashtbl.find_opt parent id with
       | None -> acc
       | Some (pid, act) -> walk pid (act :: acc)
     in
-    walk id extra
+    let replay =
+      M.create ~home:p.home ~bound:p.bound ?fault:p.fault ~crashes:p.crashes ()
+    in
+    List.map
+      (fun act ->
+        let desc = M.describe_action replay.M.st act in
+        (try M.step replay act with M.Model_violation _ -> ());
+        desc)
+      (walk id extra)
   in
   let report id extra msg =
     violations := { v_message = msg; v_trace = trace_to id extra } :: !violations;
@@ -99,24 +108,22 @@ let explore (p : params) =
   let check_state id st =
     List.iter (fun msg -> report id [] msg) (M.check_invariants st)
   in
-  (match intern (M.initial ~home:p.home) ~from_:(-1) ~act:"" with
-  | Some id -> (
-    try check_state id (Hashtbl.find by_id id) with Done -> ())
-  | None -> ());
+  (let st = M.initial ~home:p.home in
+   match intern st None with
+   | Some id -> ( try check_state id st with Done -> ())
+   | None -> ());
   (try
      while not (Queue.is_empty queue) do
-       let id = Queue.pop queue in
-       let st = Hashtbl.find by_id id in
+       let id, st = Queue.pop queue in
        List.iter
          (fun act ->
-           let desc = M.describe_action st act in
            t.M.st <- M.copy_state st;
            match M.step t act with
-           | exception M.Model_violation msg -> report id [ desc ] msg
+           | exception M.Model_violation msg -> report id [ act ] msg
            | () ->
              if not t.M.overflow then begin
                incr edges;
-               match intern t.M.st ~from_:id ~act:desc with
+               match intern t.M.st (Some (id, act)) with
                | None -> ()
                | Some nid -> check_state nid t.M.st
              end)

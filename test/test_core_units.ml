@@ -67,13 +67,17 @@ let test_directory_queue_fifo () =
   let d = Directory.create () in
   let e = Directory.entry d ~block:0 ~home:3 in
   Alcotest.(check int) "fresh owner is home" 3 e.Directory.owner;
-  Directory.push_queued e ~src:1 (Msg.Req { kind = Msg.Read; block = 0 });
-  Directory.push_queued e ~src:2 (Msg.Req { kind = Msg.Readex; block = 0 });
+  Directory.push_queued e ~src:1 Msg.Read;
+  Directory.push_queued e ~src:2 Msg.Readex;
   (match Directory.pop_queued e with
-  | Some (src, _) -> Alcotest.(check int) "FIFO order" 1 src
+  | Some (src, kind) ->
+    Alcotest.(check int) "FIFO order" 1 src;
+    Alcotest.(check bool) "first kind" true (kind = Msg.Read)
   | None -> Alcotest.fail "queue empty");
   (match Directory.pop_queued e with
-  | Some (src, _) -> Alcotest.(check int) "second" 2 src
+  | Some (src, kind) ->
+    Alcotest.(check int) "second" 2 src;
+    Alcotest.(check bool) "second kind" true (kind = Msg.Readex)
   | None -> Alcotest.fail "queue empty");
   Alcotest.(check bool) "drained" true (Directory.pop_queued e = None)
 

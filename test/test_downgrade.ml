@@ -90,7 +90,8 @@ let test_replay_in_arrival_order () =
       | Some de, Some dg ->
         let rec drain () =
           match Shasta_core.Directory.pop_queued de with
-          | Some (src, msg) ->
+          | Some (src, kind) ->
+            let msg = Msg.Req { kind; block } in
             Downgrade.push_queued dg ~src msg;
             queued := (src, Msg.describe msg) :: !queued;
             drain ()

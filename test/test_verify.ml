@@ -1,7 +1,12 @@
 (* The static-analysis layer: exhaustive model checking of the abstract
    protocol (clean = zero violations, injected faults = reachable
    counterexamples), conformance of real litmus runs against the
-   model's label vocabulary, and lock-order cycle detection. *)
+   model's label vocabulary, and lock-order cycle detection.
+
+   The model runs the simulator's own coherence handlers, so the state
+   and edge counts below are pinned exactly: a handler change that moves
+   the explored state space fails here, not only in CI's baseline
+   diff. *)
 
 module Dsm = Shasta_core.Dsm
 module Config = Shasta_core.Config
@@ -31,11 +36,32 @@ let test_initial_state () =
 
 let clean_result = lazy (Reach.explore Reach.default_params)
 
-let test_clean_reachability () =
-  let r = Lazy.force clean_result in
+let crash_result =
+  lazy (Reach.explore { Reach.default_params with Reach.crashes = true })
+
+let check_space r ~states ~edges =
   Alcotest.(check bool) "not capped" false r.Reach.r_capped;
   Alcotest.(check int) "zero violations" 0 (List.length r.Reach.r_violations);
-  Alcotest.(check bool) "nontrivial state space" true (r.Reach.r_states > 1000)
+  Alcotest.(check int) "states" states r.Reach.r_states;
+  Alcotest.(check int) "edges" edges r.Reach.r_edges
+
+let test_clean_reachability () =
+  check_space (Lazy.force clean_result) ~states:3928 ~edges:36780
+
+let test_crash_reachability () =
+  check_space (Lazy.force crash_result) ~states:4018 ~edges:45060
+
+(* Every branch a step marks is one the dead report lists, so a mark
+   added to the shared handlers cannot drop out of [verify --dead]. *)
+let test_marks_listed () =
+  List.iter
+    (fun r ->
+      Hashtbl.iter
+        (fun b () ->
+          if not (List.mem b Model.all_branches) then
+            Alcotest.failf "branch %S is not in Model.all_branches" b)
+        r.Reach.r_branches)
+    [ Lazy.force clean_result; Lazy.force crash_result ]
 
 let test_clean_coverage () =
   let r = Lazy.force clean_result in
@@ -57,18 +83,23 @@ let test_clean_coverage () =
       expect (tag_hit t)
   done
 
-let test_fault_exposed fault name () =
+(* The breadth-first search stops at the first violation, so the states
+   and edges seen up to it are pinned along with the minimal
+   counterexample's length. *)
+let test_fault_exposed fault name ~states ~edges () =
   let r =
     Reach.explore
       { Reach.default_params with Reach.fault = Some fault; stop_at_first = true }
   in
+  Alcotest.(check int) (name ^ ": states") states r.Reach.r_states;
+  Alcotest.(check int) (name ^ ": edges") edges r.Reach.r_edges;
   match r.Reach.r_violations with
   | [] -> Alcotest.failf "%s: no violating state reachable" name
   | v :: _ ->
-    Alcotest.(check bool)
-      (name ^ ": counterexample nonempty")
-      true
-      (List.length v.Reach.v_trace > 0)
+    Alcotest.(check int)
+      (name ^ ": counterexample steps")
+      4
+      (List.length v.Reach.v_trace)
 
 (* ------------------------------------------------------------------ *)
 (* Conformance of real runs against the model's label vocabulary. *)
@@ -161,13 +192,16 @@ let () =
         [
           Alcotest.test_case "initial state" `Quick test_initial_state;
           Alcotest.test_case "clean reachability" `Quick test_clean_reachability;
+          Alcotest.test_case "crash reachability" `Quick test_crash_reachability;
           Alcotest.test_case "branch and tag coverage" `Quick
             test_clean_coverage;
+          Alcotest.test_case "marks listed" `Quick test_marks_listed;
           Alcotest.test_case "skip-private-downgrade exposed" `Quick
             (test_fault_exposed Config.Skip_private_downgrade
-               "skip-private-downgrade");
+               "skip-private-downgrade" ~states:45 ~edges:169);
           Alcotest.test_case "skip-flag-stamp exposed" `Quick
-            (test_fault_exposed Config.Skip_flag_stamp "skip-flag-stamp");
+            (test_fault_exposed Config.Skip_flag_stamp "skip-flag-stamp"
+               ~states:53 ~edges:233);
         ] );
       ( "conformance",
         [
