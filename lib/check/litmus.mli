@@ -83,7 +83,7 @@ val pp_report : Format.formatter -> report -> unit
 type crash_mode =
   | Pull  (** sharer-pull recovery; a typed [Data_loss] is counted, not failed *)
   | Ckpt of int
-      (** checkpoint + log-replay recovery at the given interval
+      (** checkpoint + log recovery at the given interval
           (cycles); any [Data_loss] is a failure *)
 
 type crash_failure = {

@@ -10,6 +10,8 @@ type cost =
   | Downgrade_handler
   | Data_apply
   | Miss_setup
+  | Protocol_entry
+  | Private_upgrade
 
 type note =
   | Downgrade_queued of int * Msg.t
@@ -18,6 +20,8 @@ type note =
   | Downgrade_replay of int * Msg.t
   | Downgrades_sent of int
   | Miss_served of { kind : Msg.req_kind; three_hop : bool; start : int }
+  | False_miss
+  | Private_upgrade
 
 module type SUBSTRATE = sig
   type t
@@ -34,15 +38,24 @@ module type SUBSTRATE = sig
   val set_pending : t -> bool -> unit
   val pending_downgrade : t -> bool
   val set_pending_downgrade : t -> bool -> unit
+  val check_state : t -> State_table.base
   val private_state : t -> int -> State_table.base
   val raise_private : t -> int -> State_table.base -> unit
   val lower_private : t -> int -> State_table.base -> unit
   val stamp : t -> unit
   val snapshot : t -> Bytes.t
   val install : t -> Miss_table.entry -> Bytes.t -> unit
+
+  type write
+
+  val write : t -> write -> unit
   val dir : t -> Directory.entry
   val miss : t -> Miss_table.entry option
+  val open_miss : t -> Msg.req_kind -> Miss_table.entry
   val retire : t -> Miss_table.entry -> unit
+  val store_slot_free : t -> bool
+  val record_store : t -> Miss_table.entry -> off:int -> len:int -> unit
+  val share_directory : t -> bool
   val downgrade : t -> Downgrade.entry option
 
   val open_downgrade :
@@ -518,8 +531,7 @@ module Make (S : SUBSTRATE) = struct
         in
         e.Miss_table.kind <- kind2;
         S.set_pending v true;
-        S.charge v Miss_setup;
-        send v (S.home v) (Msg.Req { kind = kind2; block = S.block v })
+        request v kind2 ~shortcut:false
       end
       else complete_if_ready v e
 
@@ -550,4 +562,138 @@ module Make (S : SUBSTRATE) = struct
     | Some e ->
       e.Miss_table.acks_received <- e.Miss_table.acks_received + 1;
       complete_if_ready v e
+
+  (* ---------------- Requester side: requests ---------------- *)
+
+  (* Send the block's request home. With the share_directory extension
+     (5) a requester on the home's node runs the directory service
+     itself under the node's lock, saving the intra-node message and
+     its reply hop. Loads and batch fetches take that shortcut; store
+     issues and chained ownership requests message the home. *)
+  and request v kind ~shortcut =
+    S.charge v Miss_setup;
+    let msg = Msg.Req { kind; block = S.block v } in
+    let home = S.home v in
+    if
+      shortcut && home <> S.pid v && S.share_directory v
+      && S.node_of v home = node v
+    then begin
+      S.charge v Node_lock;
+      receive v ~src:(S.pid v) msg
+    end
+    else send v home msg
+
+  (* Open a miss entry and mark the block pending ([on_miss_start] fires
+     before the pending bit is set). *)
+  let open_fetch v kind =
+    let e = S.open_miss v kind in
+    S.set_pending v true;
+    e
+
+  let fetch v kind =
+    let e = open_fetch v kind in
+    request v kind ~shortcut:true;
+    e
+
+  (* ---------------- Accesses after a failed inline check ---------------- *)
+
+  (* The node's copy serves the miss: record the private upgrade and
+     charge it. *)
+  let private_upgrade v st =
+    S.raise_private v (S.pid v) st;
+    S.note v Private_upgrade;
+    S.charge v Private_upgrade
+
+  let load_miss v =
+    S.charge v Protocol_entry;
+    S.charge v Node_lock;
+    if S.base v <> State_table.Invalid then begin
+      (* The node has the data, so the flag value is application data: a
+         false miss, or under SMP possibly only a private-state miss. *)
+      if S.pending_downgrade v then begin
+        (* Pre-downgrade state suffices for a load: consume the value
+           without touching the private state (§3.4.3). *)
+        S.mark v "load.pdg_consume";
+        S.charge v Private_upgrade
+      end
+      else if State_table.rank (S.check_state v) = 0 then begin
+        S.mark v "load.private_upgrade";
+        private_upgrade v State_table.Shared
+      end
+      else S.mark v "load.false_miss";
+      S.note v False_miss;
+      `Done
+    end
+    else
+      match S.miss v with
+      | Some e when not e.Miss_table.data_ready ->
+        S.mark v "load.stall_data";
+        `Data e
+      | Some _ ->
+        (* The previous transaction is still collecting invalidation
+           acks and the block has been invalidated again underneath it:
+           a new request must wait for the old entry to drain. *)
+        S.mark v "load.stall_drain";
+        `Retire
+      | None ->
+        S.mark v "load.issue";
+        `Data (fetch v Msg.Read)
+
+  let store_miss v ~off ~len w =
+    S.charge v Protocol_entry;
+    S.charge v Node_lock;
+    let base = S.base v and pdg = S.pending_downgrade v in
+    if pdg && base = State_table.Exclusive then begin
+      (* Pre-downgrade state suffices: store under the node's lock; the
+         downgrade's data snapshot will include it (§3.4.3). *)
+      S.mark v "store.pre_downgrade";
+      S.charge v Private_upgrade;
+      S.write v w;
+      `Done
+    end
+    else if (not pdg) && base = State_table.Exclusive then begin
+      if State_table.rank (S.check_state v) < 2 then begin
+        S.mark v "store.private_upgrade";
+        private_upgrade v State_table.Exclusive
+      end;
+      S.write v w;
+      `Done
+    end
+    else
+      match S.miss v with
+      | Some { Miss_table.data_ready = true; _ } ->
+        (* The entry's data phase is over (it is only draining
+           acknowledgements) and the node no longer holds the block
+           exclusively. No future reply would merge around a range
+           recorded now, so the store waits for the entry to retire and
+           runs its own ownership transaction. *)
+        S.mark v "store.stall_drain";
+        `Retire
+      | Some e ->
+        if Bitset.mem (S.pid v) e.Miss_table.store_procs || S.store_slot_free v
+        then begin
+          S.mark v "store.merge";
+          S.record_store v e ~off ~len;
+          if e.Miss_table.kind = Msg.Read then
+            e.Miss_table.upgrade_after_reply <- true;
+          S.write v w;
+          `Done
+        end
+        else `Slot
+      | None ->
+        if S.store_slot_free v then begin
+          S.mark v "store.issue";
+          let kind =
+            if base = State_table.Shared then Msg.Upgrade else Msg.Readex
+          in
+          let e = open_fetch v kind in
+          S.record_store v e ~off ~len;
+          (* The store lands before the request goes out: a request the
+             home handles inline and answers at once must find the bytes
+             for its reply to merge around. *)
+          S.write v w;
+          request v kind ~shortcut:false;
+          `Done
+        end
+        else `Slot
 end

@@ -1,4 +1,6 @@
-(** The per-block coherence message handlers (§3.3–3.4), written once.
+(** The per-block coherence protocol (§3.3–3.4), written once: the
+    message handlers and what an access decides after its inline check
+    fails.
 
     Every handler runs on one processor and concerns one block: the
     directory service at the home (requests, the busy queue, sharing
@@ -10,13 +12,20 @@
     data snapshot is taken before the send, and messages that arrive
     during an open downgrade queue on it.
 
-    They are a functor over a {!SUBSTRATE}, one processor's view of one
-    block. {!Protocol} instantiates it over the simulated machine, where
-    the substrate charges cycles, fires observer hooks, records
+    The miss paths ({!Make.load_miss}, {!Make.store_miss}) take over
+    where an inline check failed: false misses, private-state upgrades,
+    accesses served by the pre-downgrade state, stores merging into a
+    pending miss entry, and fetches. They never wait; they return what
+    the access must wait for, and the caller stalls and retries.
+
+    All of it is a functor over a {!SUBSTRATE}, one processor's view of
+    one block. {!Protocol} instantiates it over the simulated machine,
+    where the substrate charges cycles, fires observer hooks, records
     statistics and moves data. [Shasta_verify.Model] instantiates it
     over its abstract 2-node state, where the substrate emits
-    conformance labels and branch marks. So the model checker explores
-    the code that the simulator runs. *)
+    conformance labels and branch marks, and keeps only its two inline
+    checks. So the model checker explores the code that the simulator
+    runs. *)
 
 (** A cycle charge. Only the simulator charges; the model ignores it. *)
 type cost =
@@ -31,6 +40,10 @@ type cost =
   | Downgrade_handler
   | Data_apply
   | Miss_setup
+  | Protocol_entry  (** a miss path's entry after a failed inline check *)
+  | Private_upgrade
+      (** a miss the node's copy serves: a private-state upgrade or an
+          access to the pre-downgrade state; charged as [Other] time *)
 
 (** What the simulator observes or counts; the model ignores it. *)
 type note =
@@ -42,10 +55,13 @@ type note =
   | Downgrades_sent of int  (** a downgrade started: sibling messages *)
   | Miss_served of { kind : Msg.req_kind; three_hop : bool; start : int }
       (** a reply completed the data phase of a miss issued at [start] *)
+  | False_miss  (** a failed load check found the node's copy valid *)
+  | Private_upgrade  (** a miss path raised this processor's private entry *)
 
 module type SUBSTRATE = sig
   type t
-  (** The processor handling a message and the block it concerns. *)
+  (** The processor handling a message or an access, and the block it
+      concerns. *)
 
   val pid : t -> int
   val block : t -> int
@@ -70,6 +86,10 @@ module type SUBSTRATE = sig
 
   (** {2 Private table entries of the node's processors} *)
 
+  val check_state : t -> Shasta_mem.State_table.base
+  (** The entry this processor's inline check reads: its private entry
+      under SMP, the node entry under Base. *)
+
   val private_state : t -> int -> Shasta_mem.State_table.base
   val raise_private : t -> int -> Shasta_mem.State_table.base -> unit
   (** Raise processor [q]'s entry to the state; never lowers it. *)
@@ -89,14 +109,35 @@ module type SUBSTRATE = sig
   (** Write reply data into the node's copy around the entry's merged
       stores. *)
 
+  type write
+  (** What a store writes. *)
+
+  val write : t -> write -> unit
+  (** Apply a store to the node's copy. *)
+
   (** {2 Entries} *)
 
   val dir : t -> Directory.entry
   (** The block's directory entry at its home. *)
 
   val miss : t -> Miss_table.entry option
+
+  val open_miss : t -> Msg.req_kind -> Miss_table.entry
+  (** Add a miss entry for the block; none is outstanding. *)
+
   val retire : t -> Miss_table.entry -> unit
   (** Remove a completed miss entry. *)
+
+  val store_slot_free : t -> bool
+  (** Whether this processor may add an outstanding store. *)
+
+  val record_store : t -> Miss_table.entry -> off:int -> len:int -> unit
+  (** Record this processor's store of [len] bytes at block offset [off]
+      in the entry, taking a store slot unless it holds one there. *)
+
+  val share_directory : t -> bool
+  (** The share_directory extension: a processor on the home's node
+      runs the directory service itself instead of messaging the home. *)
 
   val downgrade : t -> Downgrade.entry option
 
@@ -133,4 +174,23 @@ module Make (S : SUBSTRATE) : sig
   (** Send a coherence message. A message to the sending processor
       itself is handled inline (the requester-is-home path of
       Base-Shasta). *)
+
+  val fetch : S.t -> Msg.req_kind -> Miss_table.entry
+  (** Open a miss entry, set the pending bit, charge the miss setup and
+      send the request home, taking the share_directory shortcut. *)
+
+  val load_miss : S.t -> [ `Done | `Data of Miss_table.entry | `Retire ]
+  (** A load check failed. [`Done]: the node's copy is valid, so the
+      checked bytes are application data (a false miss, possibly after
+      a private upgrade). Otherwise wait for the entry's data or for the
+      block's entry to retire, then re-run the check. *)
+
+  val store_miss :
+    S.t -> off:int -> len:int -> S.write -> [ `Done | `Retire | `Slot ]
+  (** A store check failed for [len] bytes at block offset [off].
+      [`Done]: the store was applied (to an exclusive copy, the
+      pre-downgrade state, or around a pending miss entry that will
+      merge it). Otherwise wait for the block's entry to retire or for
+      a free store slot, then retry. A store that opens an entry lands
+      before its request goes out. *)
 end

@@ -3,14 +3,6 @@ module Image = Shasta_mem.Image
 module State_table = Shasta_mem.State_table
 module Network = Shasta_net.Network
 
-let iter_allocated_blocks (m : Machine.t) f =
-  let used = Shasta_mem.Alloc.used_bytes m.Machine.heap in
-  let pos = ref 0 in
-  while !pos < used do
-    f !pos;
-    pos := !pos + Machine.block_size m !pos
-  done
-
 type subject = Node of int | Proc of int | Machine_wide
 type violation = { block : int; subject : subject; what : string }
 
@@ -58,7 +50,7 @@ let report (m : Machine.t) =
   let bad = ref [] in
   let push block subject what = bad := { block; subject; what } :: !bad in
   let layout = m.Machine.layout in
-  iter_allocated_blocks m (fun block ->
+  Machine.iter_blocks m (fun block ->
       let line = Layout.line_of layout block in
       let transient = block_transient m block in
       let exclusive = ref 0 and valid = ref 0 in

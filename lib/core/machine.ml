@@ -158,6 +158,14 @@ let home_of_block t block =
 let block_base t addr = Block_map.base_addr t.blocks t.layout addr
 let block_size t addr = Block_map.size_bytes t.blocks t.layout addr
 
+let iter_blocks t f =
+  let used = Alloc.used_bytes t.heap in
+  let pos = ref 0 in
+  while !pos < used do
+    f !pos;
+    pos := !pos + block_size t !pos
+  done
+
 let lines_of_block t block =
   ( Layout.line_of t.layout block,
     block_size t block / t.layout.Layout.line_size )
@@ -328,6 +336,56 @@ let live_nodes t =
     let n = ref 0 in
     Array.iter (fun d -> if not d then incr n) t.dead_nodes;
     !n
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Synchronization managers. Each step returns what it sends: the
+   protocol delivers it and crash recovery plans it. *)
+
+let hierarchical_barriers t =
+  t.cfg.Config.smp_sync && t.cfg.Config.clustering > 1
+
+let local_barrier t ~node id =
+  let tbl = t.barrier_local.(node) in
+  match Hashtbl.find_opt tbl id with
+  | Some bs -> bs
+  | None ->
+    let bs = { arrived = 0; generation = 0; arrived_procs = [] } in
+    Hashtbl.replace tbl id bs;
+    bs
+
+let hand_off_lock ls =
+  (match List.rev ls.lock_queue with
+  | [] ->
+    ls.held <- false;
+    ls.holder <- -1
+  | oldest :: rest ->
+    ls.lock_queue <- List.rev rest;
+    ls.holder <- oldest);
+  ls.holder
+
+(* After a crash the barrier waits only for live participants. *)
+let release_barrier t bs ~barrier =
+  let hierarchical = hierarchical_barriers t in
+  let expected = if hierarchical then live_nodes t else live_procs t in
+  if bs.arrived < expected then []
+  else begin
+    bs.arrived <- 0;
+    bs.arrived_procs <- [];
+    bs.generation <- bs.generation + 1;
+    let msg = Msg.Barrier_release { barrier; generation = bs.generation } in
+    let cfg = t.cfg in
+    let dsts =
+      if hierarchical then
+        List.filter_map
+          (fun n ->
+            if t.dead_nodes.(n) then None
+            else Some (List.hd (Config.procs_of_node cfg n)))
+          (List.init (Config.nnodes cfg) Fun.id)
+      else
+        List.filter (fun p -> not t.dead.(p)) (List.init cfg.Config.nprocs Fun.id)
+    in
+    List.map (fun dst -> (dst, msg)) dsts
   end
 
 (* Evaluated lazily, cheapest condition first: the post-run drain loop

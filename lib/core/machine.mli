@@ -5,7 +5,11 @@
     per-processor private state tables and directories, synchronization
     manager state, and statistics. It is created once per run; shared
     data, locks and barriers are allocated in a setup phase before the
-    processors start. *)
+    processors start.
+
+    The lock and barrier managers' steps that both the protocol and
+    crash recovery take (a lock hand-off, a barrier release) are
+    defined here, next to the state they change. *)
 
 type node_state = {
   image : Shasta_mem.Image.t;
@@ -109,6 +113,9 @@ val block_base : t -> int -> int
 val block_size : t -> int -> int
 (** Byte size of the block containing an address. *)
 
+val iter_blocks : t -> (int -> unit) -> unit
+(** Iterate the base addresses of all allocated blocks, ascending. *)
+
 val lines_of_block : t -> int -> int * int
 (** [(first line, line count)] of the block at the given base address
     (a block's lines always share one state: every protocol transition
@@ -157,6 +164,33 @@ val live_procs : t -> int
 
 val live_nodes : t -> int
 (** Number of coherence nodes not marked dead. *)
+
+(** {2 Synchronization managers}
+
+    Each step changes the manager state and returns what it sends:
+    {!Protocol} delivers it, and crash recovery plans it. *)
+
+val hierarchical_barriers : t -> bool
+(** The hierarchical barrier extension is on ([smp_sync] with more than
+    one processor per node): arrivals combine per node, and releases go
+    to one processor per node. *)
+
+val local_barrier : t -> node:int -> int -> barrier_state
+(** A node's combining state for a barrier id, created on first use. *)
+
+val hand_off_lock : lock_state -> int
+(** The holder released the lock or died: pass it to the oldest waiter,
+    who is sent a grant, or free it. Returns the new holder, [-1] if the
+    lock is free. *)
+
+val release_barrier :
+  t -> barrier_state -> barrier:int -> (int * Msg.t) list
+(** Close the barrier's episode if its arrivals cover every live
+    participant (nodes with hierarchical barriers, else processors):
+    reset the arrivals, advance the generation and release each live
+    node's first processor (hierarchical) or each live processor.
+    Returns the releases as (destination, message) in send order, none
+    if the episode stays open. *)
 
 val quiescent : t -> bool
 (** No queued or in-flight messages, no outstanding misses, downgrades,

@@ -12,18 +12,32 @@ type ctx = {
   ps : Machine.proc_state;
   t : Timing.t;
   smp : bool;
+  access : view;
+      (** the view the miss paths reuse: they never nest, so one per
+          processor serves them without an allocation per miss *)
 }
+
+(* A processor handling a message or an access about one block. *)
+and view = { ctx : ctx; mutable block : int }
 
 let make_ctx m eng =
   let ps = m.Machine.procs.(Engine.pid eng) in
   ps.Machine.engine <- Some eng;
-  {
-    m;
-    eng;
-    ps;
-    t = m.Machine.cfg.Config.timing;
-    smp = m.Machine.cfg.Config.variant = Config.Smp;
-  }
+  let rec ctx =
+    {
+      m;
+      eng;
+      ps;
+      t = m.Machine.cfg.Config.timing;
+      smp = m.Machine.cfg.Config.variant = Config.Smp;
+      access;
+    }
+  and access = { ctx; block = 0 } in
+  ctx
+
+let access_view ctx block =
+  ctx.access.block <- block;
+  ctx.access
 
 let machine ctx = ctx.m
 let pid ctx = ctx.ps.Machine.pid
@@ -266,8 +280,8 @@ let transmit ctx dst msg =
   | None -> ()
   | Some o -> o.Observer.on_send ~src:(pid ctx) ~dst ~now msg
 
-(* A processor handling a message about one block. *)
-type view = { ctx : ctx; block : int }
+let under_store_limit ctx =
+  ctx.ps.Machine.outstanding_stores < ctx.t.Timing.max_outstanding_stores
 
 module Handlers = Coherence.Make (struct
   type t = view
@@ -286,6 +300,7 @@ module Handlers = Coherence.Make (struct
   let set_pending v b = set_block_pending v.ctx v.block b
   let pending_downgrade v = State_table.pending_downgrade (table v) (line v)
   let set_pending_downgrade v b = set_block_pending_downgrade v.ctx v.block b
+  let check_state v = State_table.get (check_table v.ctx) (line v)
   let private_state v q = private_state v.ctx q v.block
   let raise_private v q st = raise_private v.ctx q v.block st
   let lower_private v q st = lower_private v.ctx q v.block st
@@ -309,6 +324,10 @@ module Handlers = Coherence.Make (struct
       ~skip:(e.Miss_table.store_ranges @ batch_skip)
       data
 
+  type write = Image.t -> unit
+
+  let write v w = w (node_image v.ctx)
+
   (* The entry lives in the home processor's directory; with the
      share_directory extension the handler may be running on a
      colocated processor, so resolve the home explicitly. *)
@@ -317,6 +336,15 @@ module Handlers = Coherence.Make (struct
     Directory.entry v.ctx.m.Machine.dirs.(home) ~block:v.block ~home
 
   let miss v = Miss_table.find (node_state v.ctx).Machine.misses ~block:v.block
+
+  let open_miss v kind =
+    let ctx = v.ctx in
+    let e =
+      Miss_table.add (node_state ctx).Machine.misses ~block:v.block
+        ~requester:(pid v) ~kind ~now:(Engine.now ctx.eng)
+    in
+    obs_miss_start ctx ~block:v.block ~kind;
+    e
 
   let retire v e =
     let ctx = v.ctx in
@@ -332,6 +360,16 @@ module Handlers = Coherence.Make (struct
         let q = ctx.m.Machine.procs.(p) in
         q.Machine.outstanding_stores <- q.Machine.outstanding_stores - 1)
       e.Miss_table.store_procs
+
+  let store_slot_free v = under_store_limit v.ctx
+
+  let record_store v e ~off ~len =
+    let ps = v.ctx.ps in
+    if not (Bitset.mem ps.Machine.pid e.Miss_table.store_procs) then
+      ps.Machine.outstanding_stores <- ps.Machine.outstanding_stores + 1;
+    Miss_table.add_store_range e ~off ~len ~proc:ps.Machine.pid
+
+  let share_directory v = v.ctx.m.Machine.cfg.Config.share_directory
 
   let downgrade v =
     Downgrade.find (node_state v.ctx).Machine.downgrades ~block:v.block
@@ -358,6 +396,12 @@ module Handlers = Coherence.Make (struct
     | Coherence.Downgrade_handler -> charge ctx t.Timing.handler_downgrade
     | Coherence.Data_apply -> charge ctx t.Timing.handler_data_apply
     | Coherence.Miss_setup -> charge ctx t.Timing.miss_setup
+    | Coherence.Protocol_entry -> charge ctx t.Timing.protocol_entry
+    | Coherence.Private_upgrade ->
+      let saved = ctx.ps.Machine.category in
+      ctx.ps.Machine.category <- Stats.Other;
+      charge ctx t.Timing.private_upgrade;
+      ctx.ps.Machine.category <- saved
 
   let note v note =
     let ctx = v.ctx and block = v.block in
@@ -370,6 +414,10 @@ module Handlers = Coherence.Make (struct
       Stats.record_miss stats { Stats.kind; three_hop };
       if kind = Msg.Read then
         Stats.record_read_latency stats (Engine.now ctx.eng - start)
+    | Coherence.False_miss, _ ->
+      stats.Stats.false_misses <- stats.Stats.false_misses + 1
+    | Coherence.Private_upgrade, _ ->
+      stats.Stats.private_upgrades <- stats.Stats.private_upgrades + 1
     | _, None -> ()
     | Coherence.Downgrade_queued (src, msg), Some o ->
       o.Observer.on_downgrade_queued ~proc:(pid v) ~block ~src
@@ -410,22 +458,10 @@ and handle_message ctx ~src msg =
   | Msg.Lock_release { lock } -> handle_lock_release ctx ~lock
   | Msg.Barrier_arrive { barrier } -> handle_barrier_arrive ctx ~src ~barrier
   | Msg.Barrier_release { barrier; generation } ->
-    if
-      ctx.m.Machine.cfg.Config.smp_sync
-      && ctx.m.Machine.cfg.Config.clustering > 1
-    then begin
+    if Machine.hierarchical_barriers ctx.m then
       (* Publish the release through the node's shared memory. *)
-      let tbl = ctx.m.Machine.barrier_local.(node ctx) in
-      let bs =
-        match Hashtbl.find_opt tbl barrier with
-        | Some bs -> bs
-        | None ->
-          let bs = { Machine.arrived = 0; generation = 0; arrived_procs = [] } in
-          Hashtbl.replace tbl barrier bs;
-          bs
-      in
-      bs.Machine.generation <- generation
-    end
+      (Machine.local_barrier ctx.m ~node:(node ctx) barrier).Machine.generation
+      <- generation
     else Hashtbl.replace ctx.ps.Machine.barrier_seen barrier generation
 
 and handle_lock_req ctx ~src ~lock =
@@ -440,46 +476,19 @@ and handle_lock_req ctx ~src ~lock =
 
 and handle_lock_release ctx ~lock =
   charge ctx ctx.t.Timing.sync_manager;
-  let ls = Hashtbl.find ctx.m.Machine.locks lock in
-  match List.rev ls.Machine.lock_queue with
-  | [] ->
-    ls.Machine.held <- false;
-    ls.Machine.holder <- -1
-  | oldest :: rest ->
-    ls.Machine.lock_queue <- List.rev rest;
-    ls.Machine.holder <- oldest;
-    deliver ctx oldest (Msg.Lock_grant { lock })
+  let holder = Machine.hand_off_lock (Hashtbl.find ctx.m.Machine.locks lock) in
+  if holder >= 0 then deliver ctx holder (Msg.Lock_grant { lock })
 
+(* The arrival pids are recorded so that recovery can subtract arrivals
+   from processors that died mid-episode. *)
 and handle_barrier_arrive ctx ~src ~barrier =
   charge ctx ctx.t.Timing.sync_manager;
-  let cfg = ctx.m.Machine.cfg in
-  let hierarchical = cfg.Config.smp_sync && cfg.Config.clustering > 1 in
-  (* After a crash the barrier waits only for live participants; the
-     arrival pids are recorded so recovery can subtract arrivals from
-     processors that died mid-episode. *)
-  let expected =
-    if hierarchical then Machine.live_nodes ctx.m else Machine.live_procs ctx.m
-  in
   let bs = Hashtbl.find ctx.m.Machine.barriers barrier in
   bs.Machine.arrived <- bs.Machine.arrived + 1;
   bs.Machine.arrived_procs <- src :: bs.Machine.arrived_procs;
-  if bs.Machine.arrived >= expected then begin
-    bs.Machine.arrived <- 0;
-    bs.Machine.arrived_procs <- [];
-    bs.Machine.generation <- bs.Machine.generation + 1;
-    let generation = bs.Machine.generation in
-    if hierarchical then
-      for n = 0 to Config.nnodes cfg - 1 do
-        if not ctx.m.Machine.dead_nodes.(n) then
-          deliver ctx (List.hd (Config.procs_of_node cfg n))
-            (Msg.Barrier_release { barrier; generation })
-      done
-    else
-      for p = 0 to cfg.Config.nprocs - 1 do
-        if not ctx.m.Machine.dead.(p) then
-          deliver ctx p (Msg.Barrier_release { barrier; generation })
-      done
-  end
+  List.iter
+    (fun (dst, msg) -> deliver ctx dst msg)
+    (Machine.release_barrier ctx.m bs ~barrier)
 
 (* ------------------------------------------------------------------ *)
 (* Polling.                                                            *)
@@ -551,171 +560,40 @@ let stall ?(scope = Engine.Group) ctx cat pred =
   Engine.touch ctx.eng
 
 (* ------------------------------------------------------------------ *)
-(* Requests.                                                           *)
+(* Miss paths called from the Dsm layer: Coherence decides what the
+   access waits for; the waits and retries are here.                   *)
 
-(* Route a directory-bound message. With the share_directory extension
-   (5), a sender colocated with the home's node manipulates the
-   directory directly — the home's data structures are shared within
-   the node — eliminating the intra-node message and its reply hop. *)
-let deliver_dir ctx home msg =
-  if
-    home <> pid ctx
-    && (machine ctx).Machine.cfg.Config.share_directory
-    && Machine.node_of ctx.m home = node ctx
-  then begin
-    if ctx.smp then charge ctx ctx.t.Timing.smp_lock;
-    handle_message ctx ~src:(pid ctx) msg
-  end
-  else deliver ctx home msg
-
-let issue_request ctx ~block ~kind =
+let await_retire ctx cat block =
   let ns = node_state ctx in
-  assert (Miss_table.find ns.Machine.misses ~block = None);
-  let e =
-    Miss_table.add ns.Machine.misses ~block ~requester:(pid ctx) ~kind
-      ~now:(Engine.now ctx.eng)
-  in
-  obs_miss_start ctx ~block ~kind;
-  set_block_pending ctx block true;
-  charge ctx ctx.t.Timing.miss_setup;
-  deliver_dir ctx (Machine.home_of_block ctx.m block) (Msg.Req { kind; block });
-  e
-
-(* ------------------------------------------------------------------ *)
-(* Miss paths called from the Dsm layer.                               *)
+  stall ctx cat (fun () ->
+      Option.is_none (Miss_table.find ns.Machine.misses ~block))
 
 let load_miss ctx ~addr =
   let block = Machine.block_base ctx.m addr in
-  let ns = node_state ctx in
-  let line = Layout.line_of ctx.m.Machine.layout addr in
-  charge ctx ctx.t.Timing.protocol_entry;
-  if ctx.smp then charge ctx ctx.t.Timing.smp_lock;
-  let base = State_table.get ns.Machine.table line in
-  if base <> State_table.Invalid then begin
-    (* The node has the data, so the flag value is application data: a
-       false miss — or, under SMP, possibly just a private-state miss. *)
-    if State_table.pending_downgrade ns.Machine.table line then
-      (* Pre-downgrade state suffices for a load; consume the value now
-         without touching the private state (§3.4.3). *)
-      with_category ctx Stats.Other (fun () ->
-          charge ctx ctx.t.Timing.private_upgrade)
-    else if
-      ctx.smp && State_table.rank (private_state ctx (pid ctx) block) = 0
-    then begin
-      raise_private ctx (pid ctx) block State_table.Shared;
-      ctx.ps.Machine.stats.Stats.private_upgrades <-
-        ctx.ps.Machine.stats.Stats.private_upgrades + 1;
-      with_category ctx Stats.Other (fun () ->
-          charge ctx ctx.t.Timing.private_upgrade)
-    end;
-    ctx.ps.Machine.stats.Stats.false_misses <-
-      ctx.ps.Machine.stats.Stats.false_misses + 1;
-    `Valid
-  end
-  else
-    match Miss_table.find ns.Machine.misses ~block with
-    | Some e when not e.Miss_table.data_ready ->
-      stall ctx Stats.Read (fun () -> e.Miss_table.data_ready);
-      `Retry
-    | Some _ ->
-      (* The previous transaction is still collecting invalidation acks
-         and the block has been invalidated again underneath it: a new
-         request must wait for the old entry to drain. *)
-      stall ctx Stats.Read (fun () ->
-          Option.is_none (Miss_table.find ns.Machine.misses ~block));
-      `Retry
-    | None ->
-      let e = issue_request ctx ~block ~kind:Msg.Read in
-      stall ctx Stats.Read (fun () -> e.Miss_table.data_ready);
-      `Retry
+  match Handlers.load_miss (access_view ctx block) with
+  | `Done -> `Valid
+  | `Data e ->
+    stall ctx Stats.Read (fun () -> e.Miss_table.data_ready);
+    `Retry
+  | `Retire ->
+    await_retire ctx Stats.Read block;
+    `Retry
 
-let under_store_limit ctx =
-  ctx.ps.Machine.outstanding_stores < ctx.t.Timing.max_outstanding_stores
-
-(* The outstanding-store limit is enforced by stalling, and any stall can
-   complete or remove a miss entry, so the whole decision is retried from
-   scratch after every stall: bookkeeping mutations happen only on paths
-   with no intervening scheduling point. *)
+(* Any stall can complete or remove a miss entry, so the whole decision
+   is retried from scratch after every stall: bookkeeping mutations
+   happen only on paths with no intervening scheduling point. *)
 let rec store_miss ctx ~addr ~len write =
   let block = Machine.block_base ctx.m addr in
-  let ns = node_state ctx in
-  let line = Layout.line_of ctx.m.Machine.layout addr in
-  charge ctx ctx.t.Timing.protocol_entry;
-  if ctx.smp then charge ctx ctx.t.Timing.smp_lock;
-  let base = State_table.get ns.Machine.table line in
-  let pdg = State_table.pending_downgrade ns.Machine.table line in
-  if pdg && base = State_table.Exclusive then
-    (* Pre-downgrade state suffices: perform the store under the lock;
-       the downgrade's data snapshot will include it (§3.4.3). *)
-    with_category ctx Stats.Other (fun () ->
-        charge ctx ctx.t.Timing.private_upgrade;
-        write ns.Machine.image)
-  else if (not pdg) && base = State_table.Exclusive then begin
-    if
-      ctx.smp && State_table.rank (private_state ctx (pid ctx) block) < 2
-    then begin
-      raise_private ctx (pid ctx) block State_table.Exclusive;
-      ctx.ps.Machine.stats.Stats.private_upgrades <-
-        ctx.ps.Machine.stats.Stats.private_upgrades + 1;
-      with_category ctx Stats.Other (fun () ->
-          charge ctx ctx.t.Timing.private_upgrade)
-    end;
-    write ns.Machine.image
-  end
-  else
-    match Miss_table.find ns.Machine.misses ~block with
-    | Some { Miss_table.data_ready = true; _ } ->
-      (* The entry's data phase is over (it is only draining
-         acknowledgements) and the node no longer holds the block
-         exclusively — it was invalidated or downgraded to shared while
-         the entry lingered. No future reply would merge around a range
-         recorded now, so the store must wait for the entry to retire
-         and run its own ownership transaction. *)
-      stall ctx Stats.Write (fun () ->
-          Option.is_none (Miss_table.find ns.Machine.misses ~block));
-      store_miss ctx ~addr ~len write
-    | Some e ->
-      if
-        Bitset.mem (pid ctx) e.Miss_table.store_procs || under_store_limit ctx
-      then begin
-        if not (Bitset.mem (pid ctx) e.Miss_table.store_procs) then
-          ctx.ps.Machine.outstanding_stores <-
-            ctx.ps.Machine.outstanding_stores + 1;
-        Miss_table.add_store_range e ~off:(addr - block) ~len ~proc:(pid ctx);
-        if e.Miss_table.kind = Msg.Read then
-          e.Miss_table.upgrade_after_reply <- true;
-        write ns.Machine.image
-      end
-      else begin
-        stall ctx Stats.Write (fun () -> under_store_limit ctx);
-        store_miss ctx ~addr ~len write
-      end
-    | None ->
-      if under_store_limit ctx then begin
-        let kind =
-          if base = State_table.Shared then Msg.Upgrade else Msg.Readex
-        in
-        let e =
-          Miss_table.add ns.Machine.misses ~block ~requester:(pid ctx) ~kind
-            ~now:(Engine.now ctx.eng)
-        in
-        obs_miss_start ctx ~block ~kind;
-        set_block_pending ctx block true;
-        ctx.ps.Machine.outstanding_stores <-
-          ctx.ps.Machine.outstanding_stores + 1;
-        Miss_table.add_store_range e ~off:(addr - block) ~len ~proc:(pid ctx);
-        (* Apply the store before the request goes out: if the request is
-           handled inline (home is this processor) and replied instantly,
-           the reply merge must already see our bytes in memory. *)
-        write ns.Machine.image;
-        charge ctx ctx.t.Timing.miss_setup;
-        deliver ctx (Machine.home_of_block ctx.m block)
-          (Msg.Req { kind; block })
-      end
-      else begin
-        stall ctx Stats.Write (fun () -> under_store_limit ctx);
-        store_miss ctx ~addr ~len write
-      end
+  match
+    Handlers.store_miss (access_view ctx block) ~off:(addr - block) ~len write
+  with
+  | `Done -> ()
+  | `Retire ->
+    await_retire ctx Stats.Write block;
+    store_miss ctx ~addr ~len write
+  | `Slot ->
+    stall ctx Stats.Write (fun () -> under_store_limit ctx);
+    store_miss ctx ~addr ~len write
 
 (* ---------------- Batching (§3.4.4) ---------------- *)
 
@@ -771,16 +649,14 @@ let rec ensure_line ctx line need =
       when (not e.Miss_table.data_ready) && e.Miss_table.inval_after_reply ->
       (* Joining after an invalidation was acknowledged: the in-flight
          data is already stale for us; wait it out and refetch. *)
-      stall ctx cat (fun () ->
-          Option.is_none (Miss_table.find ns.Machine.misses ~block));
+      await_retire ctx cat block;
       ensure_line ctx line need
     | Some e when not e.Miss_table.data_ready ->
       stall ctx cat (fun () -> e.Miss_table.data_ready);
       accept e
     | Some _ when not (sufficient ()) ->
       (* Ack-draining entry over a re-invalidated block: wait it out. *)
-      stall ctx cat (fun () ->
-          Option.is_none (Miss_table.find ns.Machine.misses ~block));
+      await_retire ctx cat block;
       ensure_line ctx line need
     | Some _ -> if ctx.smp then raise_private ctx (pid ctx) block need
     | None ->
@@ -793,7 +669,7 @@ let rec ensure_line ctx line need =
             if base () = State_table.Shared then Msg.Upgrade else Msg.Readex
           else Msg.Read
         in
-        let e = issue_request ctx ~block ~kind in
+        let e = Handlers.fetch (access_view ctx block) kind in
         stall ctx cat (fun () -> e.Miss_table.data_ready);
         accept e
       end
@@ -1020,15 +896,6 @@ let lock_release ctx lock =
   with_category ctx Stats.Sync (fun () ->
       deliver ctx (Machine.lock_home ctx.m lock) (Msg.Lock_release { lock }))
 
-let local_barrier ctx barrier =
-  let tbl = ctx.m.Machine.barrier_local.(node ctx) in
-  match Hashtbl.find_opt tbl barrier with
-  | Some bs -> bs
-  | None ->
-    let bs = { Machine.arrived = 0; generation = 0; arrived_procs = [] } in
-    Hashtbl.replace tbl barrier bs;
-    bs
-
 (* SHASTA_SANITIZE >= 1: sweep the whole-machine invariants every time a
    processor leaves a barrier. The sweep charges no cycles and runs only
    between scheduling points, so simulated time is unchanged. *)
@@ -1040,14 +907,11 @@ let barrier_sanitize ctx =
 
 let barrier_wait ctx barrier =
   release_stores ctx;
-  let hierarchical =
-    ctx.m.Machine.cfg.Config.smp_sync && ctx.m.Machine.cfg.Config.clustering > 1
-  in
-  if hierarchical then begin
+  if Machine.hierarchical_barriers ctx.m then begin
     (* 5 extension: arrivals combine in the node's shared memory; only
        the last processor of each node sends a message, and the release
        is broadcast once per node and fanned out through shared memory. *)
-    let bs = local_barrier ctx barrier in
+    let bs = Machine.local_barrier ctx.m ~node:(node ctx) barrier in
     let before = bs.Machine.generation in
     obs_barrier_arrive ctx ~barrier ~epoch:(before + 1);
     charge ctx (ctx.t.Timing.memory_barrier + ctx.t.Timing.sync_manager);

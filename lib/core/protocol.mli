@@ -12,12 +12,13 @@
     between an inline check and its corresponding load or store, which is
     the invariant that makes the downgrade protocol race-free (§3.3).
 
-    The per-block coherence handlers are {!Coherence}'s, instantiated
-    here over the machine: this module supplies their substrate (the
-    node's tables and image, the network, cycle charges, observer hooks
-    and statistics) and keeps what is its own — the sync messages,
-    accesses and miss paths, batching, stalls and the drain. The model
-    checker runs the same handlers. *)
+    The per-block coherence handlers and what an access decides after
+    its inline check fails are {!Coherence}'s, instantiated here over
+    the machine: this module supplies their substrate (the node's tables
+    and image, the network, cycle charges, observer hooks and
+    statistics) and keeps what is its own — the sync messages, the
+    stalls and retries of the miss paths, batching and the drain. The
+    model checker runs the same handlers and miss paths. *)
 
 exception
   Protocol_violation of {
@@ -73,18 +74,19 @@ val check_table : ctx -> Shasta_mem.State_table.t
     Base-Shasta. *)
 
 val load_miss : ctx -> addr:int -> [ `Valid | `Retry ]
-(** Flag-based load check failed at [addr]. Handles false misses,
-    private-state upgrades, merging with pending misses, and real fetches
-    (stalling in the [Read] category). [`Valid] means the bytes at [addr]
-    are application data right now and the caller must consume them
-    without an intervening scheduling point; [`Retry] means re-run the
-    check. *)
+(** Flag-based load check failed at [addr]. {!Coherence} handles false
+    misses, private-state upgrades, merging with pending misses, and
+    real fetches; this stalls in the [Read] category for what it
+    returns. [`Valid] means the bytes at [addr] are application data
+    right now and the caller must consume them without an intervening
+    scheduling point; [`Retry] means re-run the check. *)
 
 val store_miss : ctx -> addr:int -> len:int -> (Shasta_mem.Image.t -> unit) -> unit
 (** Store check failed for the [len] bytes at [addr]. Applies the write
     (passed as a continuation on the node image) at the protocol-correct
-    moment; non-blocking — returns as soon as the store is recorded,
-    stalling only on the outstanding-store limit. *)
+    moment, which {!Coherence} decides; non-blocking — returns as soon
+    as the store is recorded, stalling only for a lingering miss entry
+    to retire or on the outstanding-store limit. *)
 
 type batch_token
 

@@ -26,4 +26,4 @@ val with_checkpoint :
   at:int ->
   ckpt:Checkpoint.t ->
   int * (kill:(int -> unit) -> now:int -> unit)
-(** [event] with checkpoint + log-replay recovery. *)
+(** [event] with checkpoint + log recovery ({!Recover.Ckpt}). *)

@@ -138,7 +138,7 @@ let rebuild m ~node ~mode ~kill ~now =
   let touch b = Hashtbl.replace affected b () in
   let touch_msg msg = Option.iter touch (Msg.block_of msg) in
   let all_blocks = ref [] in
-  Checkpoint.iter_blocks m (fun b -> all_blocks := b :: !all_blocks);
+  Machine.iter_blocks m (fun b -> all_blocks := b :: !all_blocks);
   let all_blocks = List.rev !all_blocks in
   List.iter
     (fun b -> if m.Machine.dead.(Machine.home_of_block m b) then touch b)
@@ -543,15 +543,10 @@ let rebuild m ~node ~mode ~kill ~now =
       ls.Machine.lock_queue <-
         List.filter (fun p -> not m.Machine.dead.(p)) ls.Machine.lock_queue;
       if ls.Machine.held && m.Machine.dead.(ls.Machine.holder) then begin
-        match List.rev ls.Machine.lock_queue with
-        | [] ->
-          ls.Machine.held <- false;
-          ls.Machine.holder <- -1
-        | oldest :: rest ->
-          ls.Machine.lock_queue <- List.rev rest;
-          ls.Machine.holder <- oldest;
+        let holder = Machine.hand_off_lock ls in
+        if holder >= 0 then
           ignore
-            (plan_send ~src:(Machine.lock_home m id) ~dst:oldest
+            (plan_send ~src:(Machine.lock_home m id) ~dst:holder
                (Msg.Lock_grant { lock = id }))
       end)
     locks;
@@ -592,7 +587,7 @@ let rebuild m ~node ~mode ~kill ~now =
      re-sent. Crashes take out whole nodes, so hierarchical intra-node
      combining is never split — only whole-node arrivals and releases
      can be lost. *)
-  let hierarchical = cfg.Config.smp_sync && cfg.Config.clustering > 1 in
+  let hierarchical = Machine.hierarchical_barriers m in
   let barriers =
     Hashtbl.fold (fun id bs acc -> (id, bs) :: acc) m.Machine.barriers []
     |> List.sort compare
@@ -602,31 +597,10 @@ let rebuild m ~node ~mode ~kill ~now =
       bs.Machine.arrived_procs <-
         List.filter (fun p -> not m.Machine.dead.(p)) bs.Machine.arrived_procs;
       bs.Machine.arrived <- List.length bs.Machine.arrived_procs;
-      let expected =
-        if hierarchical then Machine.live_nodes m else Machine.live_procs m
-      in
-      if bs.Machine.arrived >= expected && bs.Machine.arrived > 0 then begin
-        bs.Machine.arrived <- 0;
-        bs.Machine.arrived_procs <- [];
-        bs.Machine.generation <- bs.Machine.generation + 1;
-        let generation = bs.Machine.generation in
-        let mgr = Machine.barrier_home m id in
-        if hierarchical then
-          for n = 0 to Config.nnodes cfg - 1 do
-            if not m.Machine.dead_nodes.(n) then
-              ignore
-                (plan_send ~src:mgr
-                   ~dst:(List.hd (Config.procs_of_node cfg n))
-                   (Msg.Barrier_release { barrier = id; generation }))
-          done
-        else
-          for p = 0 to nprocs - 1 do
-            if not m.Machine.dead.(p) then
-              ignore
-                (plan_send ~src:mgr ~dst:p
-                   (Msg.Barrier_release { barrier = id; generation }))
-          done
-      end)
+      List.iter
+        (fun (dst, msg) ->
+          ignore (plan_send ~src:(Machine.barrier_home m id) ~dst msg))
+        (Machine.release_barrier m bs ~barrier:id))
     barriers;
   let arrive_inflight pred =
     List.exists

@@ -6,9 +6,10 @@
     from the node discarded) and then repairs the survivors so the run
     can resume: dead-homed blocks are re-homed to the next live
     processor and their directory entries reconstructed from the
-    surviving sharers' states (pull) or from a checkpoint plus message-
-    log replay ({!mode} [Ckpt]); miss entries whose replies died are
-    reset and their requests re-injected; a block whose only copy was
+    surviving sharers' states; a block whose every copy died is restored
+    from a checkpoint and its message log if one is attached ({!mode}
+    [Ckpt]); miss entries whose replies died are reset and their
+    requests re-injected; a block whose only copy was
     mid-downgrade to invalid on a survivor is rescued from that node's
     still-present bytes; stranded lock and barrier waiters are re-issued
     or re-granted (manager state is global and survives — a dead

@@ -1,17 +1,18 @@
 (* Abstract model of the per-block coherence protocol.
 
-   The message handlers are not written here: [Coherence.Make] is the
-   code the simulator runs, instantiated below over an abstract state
-   specialized to the litmus geometry (2 coherence nodes x 2 processors,
-   SMP variant, one block, share_directory off). Data content is
-   abstracted to one bit per node copy — [stamped], true iff the copy
-   holds the invalid-flag pattern, which is exactly what the inline
-   access-control check reads. The substrate drops cycle charges,
-   statistics and observer notes, and emits instead the conformance
-   labels and branch marks that exploration collects.
+   The message handlers and the miss paths are not written here:
+   [Coherence.Make] is the code the simulator runs, instantiated below
+   over an abstract state specialized to the litmus geometry (2
+   coherence nodes x 2 processors, SMP variant, one block,
+   share_directory off). Data content is abstracted to one bit per node
+   copy — [stamped], true iff the copy holds the invalid-flag pattern,
+   which is exactly what the inline access-control check reads. The
+   substrate drops cycle charges, statistics and observer notes, and
+   emits instead the conformance labels and branch marks that
+   exploration collects.
 
    What stays here is model-specific: the abstract state and its copy,
-   the checked accesses, the crash transition, the delivery rule, the
+   the two inline checks, the crash transition, the delivery rule, the
    invariants and the branch lists.
 
    Exhaustive exploration of this model is what makes it useful: the
@@ -260,6 +261,7 @@ module Substrate = struct
     (nd v.m v.p).pdg <- b;
     emit v.m (L_pdg { at_home = at_home v.m v.p; set = b })
 
+  let check_state v = v.m.st.priv.(v.p)
   let private_state v q = v.m.st.priv.(q)
 
   let set_private v q b =
@@ -286,12 +288,28 @@ module Substrate = struct
 
   let snapshot _ = payload
   let install v _ _ = (nd v.m v.p).stamped <- false
+
+  (* A store writes the one checked word. *)
+  type write = unit
+
+  let write v () = (nd v.m v.p).stamped <- false
   (* The model routes every directory message to the current home. *)
   let dir v =
     if v.p <> home v.m then violation "directory entry read off-home";
     v.m.st.dir
   let miss v = (nd v.m v.p).miss
+
+  let open_miss v kind =
+    let e = new_entry kind in
+    (nd v.m v.p).miss <- Some e;
+    e
+
   let retire v _ = (nd v.m v.p).miss <- None
+
+  (* Merged stores are not tracked, so a store slot is always free. *)
+  let store_slot_free _ = true
+  let record_store _ _ ~off:_ ~len:_ = ()
+  let share_directory _ = false
   let downgrade v = (nd v.m v.p).down
 
   let open_downgrade v ~target ~deferred ~remaining =
@@ -337,73 +355,27 @@ module Handlers = Shasta_core.Coherence.Make (Substrate)
 
 (* ---------------- processor accesses ---------------- *)
 
-(* Checked load: the inline check reads the copy's content; only a
-   flagged word enters the protocol (Protocol.load_miss). An Invalid
-   copy whose content is NOT flagged (possible only transiently around
-   merged non-blocking stores, or under Skip_flag_stamp) is read as
-   data without any protocol action -- which is exactly how that fault
-   manifests in the real system. *)
-let do_load t p =
-  let v = { m = t; p } in
-  let n = nd t p in
-  if not n.stamped then hit t "load.hit"
-  else if n.nbase <> St.Invalid then begin
-    (* False miss (flagged content over a valid copy). Unreachable in
-       the one-word abstraction -- kept as the mirror of load_miss's
-       Valid branch so the dead-branch report documents it. *)
-    if n.pdg then hit t "load.pdg_consume"
-    else if rank t.st.priv.(p) = 0 then begin
-      hit t "load.private_upgrade";
-      Substrate.raise_private v p St.Shared
-    end
-    else hit t "load.false_miss"
-  end
-  else
-    match n.miss with
-    | Some e when not e.Miss_table.data_ready -> hit t "load.stall_data"
-    | Some _ -> hit t "load.stall_drain"
-    | None ->
-      hit t "load.issue";
-      n.miss <- Some (new_entry Msg.Read);
-      Substrate.set_pending v true;
-      Handlers.send v (home t) (Msg.Req { kind = Msg.Read; block })
+(* The two inline checks are the model's own; everything after a failed
+   check is Coherence's [load_miss] / [store_miss], as in the simulator.
+   A waiting access has no effect here: the explorer re-enables it. *)
 
-(* Checked store: private Exclusive writes through; anything else
-   enters Protocol.store_miss. *)
+(* Checked load: the inline check reads the copy's content, and only a
+   flagged word enters the protocol. An Invalid copy whose content is
+   NOT flagged (possible only transiently around merged non-blocking
+   stores, or under Skip_flag_stamp) is read as data without any
+   protocol action -- which is exactly how that fault manifests in the
+   real system. *)
+let do_load t p =
+  if not (nd t p).stamped then hit t "load.hit"
+  else ignore (Handlers.load_miss { m = t; p })
+
+(* Checked store: private Exclusive writes through. *)
 let do_store t p =
-  let v = { m = t; p } in
-  let n = nd t p in
   if rank t.st.priv.(p) = 2 then begin
     hit t "store.hit";
-    n.stamped <- false
+    (nd t p).stamped <- false
   end
-  else begin
-    let pdg = n.pdg and base = n.nbase in
-    if pdg && base = St.Exclusive then begin
-      hit t "store.pre_downgrade";
-      n.stamped <- false
-    end
-    else if (not pdg) && base = St.Exclusive then begin
-      hit t "store.private_upgrade";
-      Substrate.raise_private v p St.Exclusive;
-      n.stamped <- false
-    end
-    else
-      match n.miss with
-      | Some e when e.Miss_table.data_ready -> hit t "store.stall_drain"
-      | Some e ->
-        hit t "store.merge";
-        if e.Miss_table.kind = Msg.Read then
-          e.Miss_table.upgrade_after_reply <- true;
-        n.stamped <- false
-      | None ->
-        hit t "store.issue";
-        let kind = if base = St.Shared then Msg.Upgrade else Msg.Readex in
-        n.miss <- Some (new_entry kind);
-        Substrate.set_pending v true;
-        n.stamped <- false;
-        Handlers.send v (home t) (Msg.Req { kind; block })
-  end
+  else ignore (Handlers.store_miss { m = t; p } ~off:0 ~len:8 ())
 
 (* ------------------------------------------------------------------ *)
 (* Node crash and recovery: the abstract mirror of Recover.rebuild,
@@ -745,8 +717,8 @@ let check_invariants st =
 
 (* ------------------------------------------------------------------ *)
 (* The complete branch vocabulary, for the dead-branch report: the
-   handlers' marks (Coherence), the checked accesses' and the crash
-   transition's. *)
+   handlers' and miss paths' marks (Coherence), the inline checks' and
+   the crash transition's. *)
 
 let all_branches =
   [
@@ -792,7 +764,7 @@ let crash_branches =
    separate expected rot from real rot. Two families:
 
    One-word, one-block artifacts (content aliasing and defensive
-   mirrors that a single checked word cannot produce):
+   paths that a single checked word cannot reach):
    - msg:upgrade_fwd: upgrades are home-served; the Fwd Upgrade
      constructor exists only as a violation path.
    - load.pdg_consume / load.private_upgrade / load.false_miss:

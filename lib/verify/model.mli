@@ -1,9 +1,11 @@
 (** Abstract model of the per-block coherence protocol: the simulator's
-    own handlers ({!Shasta_core.Coherence.Make}) run over an abstract
-    state specialized to the litmus geometry (2 coherence nodes x 2
-    processors, SMP variant, one block) with data abstracted to one
-    invalid-flag bit per node copy. This module adds only what is
-    model-specific: that state, the checked load and store, the crash
+    own handlers and miss paths ({!Shasta_core.Coherence.Make}) run
+    over an abstract state specialized to the litmus geometry (2
+    coherence nodes x 2 processors, SMP variant, one block) with data
+    abstracted to one invalid-flag bit per node copy. This module adds
+    only what is model-specific: that state, the inline checks of the
+    load and store (the copy's flag bit and private Exclusive; what
+    follows a failed check is {!Shasta_core.Coherence}'s), the crash
     transition, the delivery rule, the invariants and the branch lists.
     {!Reach} enumerates its complete reachable state space under a
     channel bound; {!Conform} checks that real runs stay inside its
@@ -112,9 +114,9 @@ val check_invariants : state -> string list
 (** {1 Coverage} *)
 
 val all_branches : string list
-(** Every branch name a step can mark — the shared handlers', the
-    checked accesses' and the crash transition's — for the dead-branch
-    report. *)
+(** Every branch name a step can mark — the shared handlers' and miss
+    paths', the inline checks' and the crash transition's — for the
+    dead-branch report. *)
 
 val expected_dead : string list
 (** Branches structurally unreachable in the abstraction — one-word

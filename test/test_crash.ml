@@ -11,11 +11,12 @@
    - a crash of a processor holding a per-bucket KV-style lock,
    - a crash between a checkpoint and the log tail, where sharer-pull
      recovery must raise the typed [Data_loss] and checkpoint + log
-     replay must recover clean.
+     recovery must recover clean.
 
-   Plus the QCheck round-trip properties from the checkpoint spec:
-   [snapshot (restore m s) = s] and log-replay idempotence (replaying
-   any prefix twice equals replaying it once). *)
+   Plus two checks of [Checkpoint.recover_data] over fuzz-scheduled
+   litmus runs: it returns a block-sized copy for every allocated block
+   (and nothing for an address no block starts at), and on a quiescent
+   machine it returns the bytes every valid copy of the block holds. *)
 
 module Dsm = Shasta_core.Dsm
 module Config = Shasta_core.Config
@@ -31,7 +32,9 @@ module Checkpoint = Shasta_recover.Checkpoint
 module Recover = Shasta_recover.Recover
 module Crash = Shasta_recover.Crash
 module Prng = Shasta_util.Prng
-module Bitset = Shasta_util.Bitset
+module Image = Shasta_mem.Image
+module Layout = Shasta_mem.Layout
+module State_table = Shasta_mem.State_table
 
 let default_choose (cands : int array) = cands.(0)
 
@@ -60,7 +63,7 @@ let is_data_loss what =
 
 (* Run [body] on [h] under the default schedule with a crash of [node]
    scheduled at cycle [at]; [ckpt_interval > 0] selects checkpoint +
-   log-replay recovery. [check ~live] is the crash-aware outcome
+   log recovery. [check ~live] is the crash-aware outcome
    predicate. The sanitizer and the race detector are attached to every
    run and any noise from them is a failure. *)
 let crash_run ?(choose = default_choose) ?(ckpt_interval = 0) ~node ~at h body
@@ -268,8 +271,8 @@ let test_crash_holding_kv_lock () =
 (* 4. Crash between a checkpoint and the log tail: the only copy of a
    modified block dies with its node while a live processor has a
    demand miss outstanding for it. Sharer-pull recovery must refuse to
-   fabricate bytes — the typed [Data_loss] — while checkpoint +
-   log-replay recovery must come back clean, restoring the block from
+   fabricate bytes — the typed [Data_loss] — while checkpoint + log
+   recovery must come back clean, restoring the block from
    the snapshot/log. The crash clock is swept across the miss window so
    at least one pull placement provably hits the loss. *)
 
@@ -369,63 +372,106 @@ let test_crash_checkpoint_log_tail () =
     window
 
 (* ------------------------------------------------------------------ *)
-(* QCheck properties: snapshot/restore round-trip and log-replay
-   idempotence, over fuzz-scheduled litmus end states and their real
-   message logs. *)
+(* Checkpoint recovery data, over every litmus scenario under a few
+   fuzzed schedules each. *)
 
-let scenario_count = List.length Litmus.scenarios
+let fuzz_seeds = [ 0; 1; 2; 3 ]
 
-let run_fuzzed i seed =
-  let sc = List.nth Litmus.scenarios (i mod scenario_count) in
-  let inst = sc.Litmus.make ~fault:None in
-  let log = ref [] in
-  let m = Dsm.machine inst.Litmus.handle in
-  Machine.add_observer m
-    {
-      Observer.nil with
-      Observer.on_send =
-        (fun ~src ~dst ~now:_ msg -> log := (src, dst, msg) :: !log);
-    };
-  Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
-    inst.Litmus.body;
-  (m, List.rev !log)
+(* Run every scenario under every fuzz seed; [before] sees the machine
+   ahead of the run, [after] once it is quiescent. *)
+let sweep_fuzzed ~before ~after =
+  List.iter
+    (fun sc ->
+      List.iter
+        (fun seed ->
+          let inst = sc.Litmus.make ~fault:None in
+          let m = Dsm.machine inst.Litmus.handle in
+          let x = before m in
+          Dsm.run_controlled ~choose:(random_choose seed) inst.Litmus.handle
+            inst.Litmus.body;
+          after (Printf.sprintf "%s seed %d" sc.Litmus.name seed) m x)
+        fuzz_seeds)
+    Litmus.scenarios
 
-let prop_snapshot_roundtrip =
-  QCheck.Test.make ~name:"snapshot (restore m s) = s" ~count:24
-    QCheck.(
-      make
-        ~print:(fun (i, seed) -> Printf.sprintf "scenario %d, seed %d" i seed)
-        Gen.(pair (int_bound (scenario_count - 1)) (int_bound 999)))
-    (fun (i, seed) ->
-      let m, _ = run_fuzzed i seed in
-      let s = Checkpoint.snapshot ~now:0 m in
-      Checkpoint.restore m s;
-      Checkpoint.snapshot ~now:0 m = s)
+let test_recover_data_total () =
+  let max_snapshots = ref 0 in
+  sweep_fuzzed
+    ~before:(fun m -> Checkpoint.attach m ~interval:50)
+    ~after:(fun what m ckpt ->
+      max_snapshots := max !max_snapshots (Checkpoint.snapshots ckpt);
+      Machine.iter_blocks m (fun b ->
+          (match Checkpoint.recover_data ckpt ~block:b with
+          | Some bytes ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: block %d recovers block-sized" what b)
+              (Machine.block_size m b) (Bytes.length bytes)
+          | None ->
+            Alcotest.failf "%s: block %d unknown to the checkpoint" what b);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: address %d starts no block" what (b + 1))
+            true
+            (Checkpoint.recover_data ckpt ~block:(b + 1) = None)));
+  Alcotest.(check bool)
+    "some run re-snapshotted after the initial snapshot" true
+    (!max_snapshots >= 2)
 
-let prop_replay_idempotent =
-  QCheck.Test.make ~name:"replaying a log prefix twice = once" ~count:24
-    QCheck.(
-      make
-        ~print:(fun (i, seed, k) ->
-          Printf.sprintf "scenario %d, seed %d, prefix %d" i seed k)
-        Gen.(
-          triple
-            (int_bound (scenario_count - 1))
-            (int_bound 999) (int_bound 200)))
-    (fun (i, seed, k) ->
-      let m, log = run_fuzzed i seed in
-      let prefix =
-        List.filteri (fun j _ -> j < k mod (List.length log + 1)) log
+(* [recover_data] of a checkpoint taken on the quiescent machine [m]
+   must equal every valid copy of every block. *)
+let check_coherent what m =
+  (match Inspect.report m with
+  | v :: _ -> Alcotest.failf "%s: %s" what (Inspect.describe v)
+  | [] -> ());
+  let ckpt = Checkpoint.attach m ~interval:1 in
+  Machine.iter_blocks m (fun b ->
+      let line = Layout.line_of m.Machine.layout b in
+      let got = Checkpoint.recover_data ckpt ~block:b in
+      Array.iteri
+        (fun n ns ->
+          if State_table.get ns.Machine.table line <> State_table.Invalid then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: block %d equals node %d's valid copy" what b
+                 n)
+              true
+              (got
+              = Some
+                  (Image.snapshot ns.Machine.image ~addr:b
+                     ~len:(Machine.block_size m b))))
+        m.Machine.nodes)
+
+(* Every litmus end state, then runs in which each node's first
+   processor stores to a block homed on the other node and nothing reads
+   it back, so each block's only copy is Exclusive away from its home:
+   recovery must read the owner's copy, not the home's. *)
+let test_recover_data_coherent () =
+  sweep_fuzzed
+    ~before:(fun _ -> ())
+    ~after:(fun what m () -> check_coherent what m);
+  List.iter
+    (fun seed ->
+      let h = Dsm.create (make_cfg ()) in
+      let m = Dsm.machine h in
+      (* a whole page for [x], so [y] can be homed on its own page *)
+      let x = Dsm.alloc h ~home:0 4096 in
+      let y = Dsm.alloc h ~home:2 8 in
+      let body ctx =
+        match Dsm.pid ctx with
+        | 0 -> Dsm.store_int ctx y 17
+        | 2 -> Dsm.store_int ctx x 42
+        | _ -> ()
       in
-      let ok = ref true in
-      Checkpoint.iter_blocks m (fun b ->
-          let home = Machine.home_of_block m b in
-          let img0 = (home, Bitset.singleton home) in
-          let once = Checkpoint.replay ~block:b img0 prefix in
-          let twice = Checkpoint.replay ~block:b once prefix in
-          if not (fst twice = fst once && Bitset.equal (snd twice) (snd once))
-          then ok := false);
-      !ok)
+      Dsm.run_controlled ~choose:(random_choose seed) h body;
+      let what = Printf.sprintf "remote writers seed %d" seed in
+      List.iter
+        (fun (b, home_node) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: home of block %d lost its copy" what b)
+            true
+            (State_table.get m.Machine.nodes.(home_node).Machine.table
+               (Layout.line_of m.Machine.layout b)
+            = State_table.Invalid))
+        [ (x, 0); (y, 1) ];
+      check_coherent what m)
+    fuzz_seeds
 
 let () =
   Alcotest.run "crash"
@@ -443,7 +489,9 @@ let () =
         ] );
       ( "checkpoint-properties",
         [
-          QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
-          QCheck_alcotest.to_alcotest prop_replay_idempotent;
+          Alcotest.test_case "recover_data is total" `Quick
+            test_recover_data_total;
+          Alcotest.test_case "restores the coherent copy" `Quick
+            test_recover_data_coherent;
         ] );
     ]

@@ -136,6 +136,52 @@ let test_store_merge_on_reply () =
   Alcotest.(check (float 0.0)) "word 1" 2.0 (Dsm.peek_float h (a + 8));
   Alcotest.(check (float 0.0)) "word 2" 3.0 (Dsm.peek_float h (a + 16))
 
+(* A processor may have [max_outstanding_stores] stores outstanding.
+   Processor 0 stores to one block more than that, all homed at
+   processor 4: the first stores return before their round trips end,
+   and the last waits for a slot. *)
+let test_store_slot_wait () =
+  let h = base_machine () in
+  let m = Dsm.machine h in
+  let limit =
+    m.Machine.cfg.Config.timing.Shasta_core.Timing.max_outstanding_stores
+  in
+  let blocks =
+    Array.init (limit + 1) (fun _ -> Dsm.alloc h ~block_size:64 ~home:4 64)
+  in
+  let took = Array.make (limit + 1) 0 and outstanding = ref [] in
+  Dsm.run h (fun ctx ->
+      if Dsm.pid ctx = 0 then
+        Array.iteri
+          (fun i a ->
+            let before = Dsm.now ctx in
+            Dsm.store_float ctx a (float_of_int (i + 1));
+            took.(i) <- Dsm.now ctx - before;
+            outstanding :=
+              m.Machine.procs.(0).Machine.outstanding_stores :: !outstanding)
+          blocks);
+  for i = 0 to limit - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "store %d returns early (%d cycles)" i took.(i))
+      true (took.(i) < 1000)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "store %d waits for a slot (%d cycles)" limit took.(limit))
+    true (took.(limit) > 3000);
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d outstanding, limit %d" n limit)
+        true (n <= limit))
+    !outstanding;
+  Array.iteri
+    (fun i a ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "store %d landed" i)
+        (float_of_int (i + 1))
+        (Dsm.peek_float h a))
+    blocks
+
 let test_release_on_unlock () =
   (* A value stored before unlock must be visible to the next holder. *)
   let h = base_machine () in
@@ -226,6 +272,8 @@ let () =
         [
           Alcotest.test_case "non-blocking" `Quick test_nonblocking_store;
           Alcotest.test_case "merge on reply" `Quick test_store_merge_on_reply;
+          Alcotest.test_case "waits for a store slot" `Quick
+            test_store_slot_wait;
         ] );
       ( "synchronization",
         [
