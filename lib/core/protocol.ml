@@ -547,7 +547,8 @@ let op_tick ctx =
    counts as frozen exactly while its predicate cannot have changed.
    [scope] is [Engine.Self] only for a predicate that reads nothing but
    this processor's own state, which only its own message handlers
-   write (a lock grant, a flat barrier release). *)
+   write (a lock grant, a flat barrier release): such a waiter sleeps
+   until a message for it is sent. *)
 let stall ?(scope = Engine.Group) ctx cat pred =
   let gap = ctx.t.Timing.stall_gap in
   with_category ctx cat (fun () ->
@@ -948,8 +949,11 @@ let barrier_wait ctx barrier =
 
 (* ---------------- Post-run drain ---------------- *)
 
-(* The drain wait is self-woken: leaving it ends the processor, which
-   changes nothing another processor reads. *)
+(* Leaving the drain ends the processor, which changes nothing another
+   processor reads, so the drainer bounds nobody. But [Machine.quiescent]
+   reads every processor's state and no message marks its turn, so the
+   wait is [Engine.Global], not [Self]: it must not sleep until a
+   message comes. *)
 let drain ctx =
   ctx.ps.Machine.finished <- true;
   ctx.ps.Machine.app_finish_cycles <- Engine.now ctx.eng;
@@ -957,5 +961,5 @@ let drain ctx =
   while not (Machine.quiescent ctx.m) do
     poll ctx;
     Engine.advance ctx.eng
-      (gap + Engine.idle_skip ~scope:Engine.Self ctx.eng ~quantum:gap)
+      (gap + Engine.idle_skip ~scope:Engine.Global ctx.eng ~quantum:gap)
   done

@@ -12,8 +12,8 @@ module Directory = Shasta_core.Directory
    installs no observer at all, so simulated time is bit-identical.
 
    The data bytes of a block whose last copy died are restored from the
-   snapshot copy of its then-owner, superseded by the payload of a
-   [Data_reply] for the block in the log. *)
+   snapshot copy of its then-owner, superseded by the payload of the
+   newest [Data_reply] for the block in the log. *)
 
 type snap = {
   sn_data : (int * Bytes.t) list array;
@@ -86,18 +86,19 @@ let attach m ~interval =
 
 let snapshots t = t.snapshots
 
-(* Recoverable bytes for [block]: the payload of the oldest [Data_reply]
-   for the block in the log, else the snapshot copy of the block's
-   then-owner node. *)
+(* The contract: a lost block holds the bytes of the newest [Data_reply]
+   for it logged since the snapshot (the freshest copy that left a
+   node), else the snapshot copy of the block's then-owner node. The log
+   is newest-first, so the first match is the newest. *)
 let recover_data t ~block =
   let logged =
-    List.fold_left
-      (fun acc (_src, _dst, msg) ->
-        match (acc, msg) with
-        | None, Msg.Data_reply { block = b; data; _ } when b = block ->
+    List.find_map
+      (fun (_src, _dst, msg) ->
+        match msg with
+        | Msg.Data_reply { block = b; data; _ } when b = block ->
           Some (Bytes.copy data)
-        | _ -> acc)
-      None (List.rev t.log)
+        | _ -> None)
+      t.log
   in
   match logged with
   | Some _ as r -> r

@@ -25,6 +25,7 @@ val snapshots : t -> int
 (** Snapshots taken so far (at least 1 — the initial one). *)
 
 val recover_data : t -> block:int -> Bytes.t option
-(** Recoverable bytes for a block: the payload of the oldest data reply
-    for it logged since the snapshot, else the snapshot copy of its
-    then-owner node. [None] only for a block unknown to the snapshot. *)
+(** Recoverable bytes for a block. The contract: a lost block holds the
+    payload of the newest data reply for it logged since the snapshot,
+    else the snapshot copy of its then-owner node. [None] only for a
+    block unknown to the snapshot. *)

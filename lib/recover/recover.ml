@@ -711,6 +711,10 @@ let rebuild m ~node ~mode ~kill ~now =
              (a.rj_block, a.rj_src, a.rj_dst, Msg.tag a.rj_msg)
              (b.rj_block, b.rj_src, b.rj_dst, Msg.tag b.rj_msg))
   in
+  (* These sends need no [Engine.sent], unlike the protocol's, only
+     because the engine never parks a processor in a run with crash
+     events: no destination can be asleep or frozen, and the next
+     horizon is computed after this event returns. *)
   List.iter
     (fun r ->
       Network.send m.Machine.net ~src:r.rj_src ~dst:r.rj_dst ~now

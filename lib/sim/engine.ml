@@ -6,7 +6,7 @@ type status =
   | Running
   | Finished
 
-type scope = Group | Self
+type scope = Group | Self | Global
 
 (* State shared by the processors of one [run] (a run is single-domain:
    its coroutines interleave, never overlap), never by two runs — which
@@ -33,7 +33,11 @@ type proc = {
       (* Suspended by the advance after [idle_skip]: resumed, it is still
          inside its wait loop. *)
   mutable p_frozen : bool;
-      (* Parked, and either self-woken or untouched since it parked. *)
+      (* Parked, and either not [Group]-scoped or untouched since it
+         parked. *)
+  mutable p_asleep : bool;
+      (* A frozen [Self] waiter with nothing queued, out of the run
+         queue until [sent] pushes it back. *)
   p_max_cycles : int;
   p_run : shared;
 }
@@ -53,6 +57,10 @@ and shared = {
          visibility bounds: its clock, [far] while it runs or after it
          finishes, or its frozen term (see [touch]). *)
   members : int array array;  (* Per group (indexed by its least pid). *)
+  heap : int array;
+  mutable queued : int;
+      (* The run queue: [heap.(0 .. queued - 1)] is a binary min-heap of
+         pids (see [Runq]). *)
   run_ahead : bool;
   parking : bool;
 }
@@ -147,62 +155,57 @@ let live p =
 (* Runnable set as a binary min-heap of pids on (clock, pid) —
    lexicographic, so equal clocks resume in processor-id order, exactly
    the tie-break of the original O(n) scan. A processor's clock only
-   moves while it runs, and it is out of the heap while it runs, so heap
-   order is never invalidated in place. Capacity is nprocs; no
-   allocation after creation, and the heap holds ints, so moving an
-   entry is a plain store. *)
+   moves while it runs, and it is out of the heap while it runs or
+   sleeps, so heap order is never invalidated in place. Capacity is
+   nprocs; no allocation after creation, and the heap holds ints, so
+   moving an entry is a plain store. *)
 module Runq = struct
-  type t = { tasks : proc array; heap : int array; mutable size : int }
-
-  let create tasks =
-    { tasks; heap = Array.make (Array.length tasks) 0; size = 0 }
-
   (* Hot: one push + one pop per scheduler pick. Every heap index below
-     is bounded by [size <= capacity] (push asserts it) and every entry
-     is a pid of [tasks], so the accesses skip the bounds checks. *)
+     is bounded by [queued <= capacity] (push asserts it) and every
+     entry is a pid of [tasks], so the accesses skip the bounds checks. *)
 
   (* Does pid [a] run before pid [b]? *)
-  let before q a b =
-    let ca = (Array.unsafe_get q.tasks a).p_now
-    and cb = (Array.unsafe_get q.tasks b).p_now in
+  let before r a b =
+    let ca = (Array.unsafe_get r.tasks a).p_now
+    and cb = (Array.unsafe_get r.tasks b).p_now in
     ca < cb || (ca = cb && a < b)
 
-  let top q = Array.unsafe_get q.heap 0
+  let top r = Array.unsafe_get r.heap 0
 
-  let push q pid =
-    assert (q.size < Array.length q.heap);
-    let heap = q.heap in
-    let i = ref q.size in
-    q.size <- q.size + 1;
-    while !i > 0 && before q pid (Array.unsafe_get heap ((!i - 1) / 2)) do
+  let push r pid =
+    assert (r.queued < Array.length r.heap);
+    let heap = r.heap in
+    let i = ref r.queued in
+    r.queued <- r.queued + 1;
+    while !i > 0 && before r pid (Array.unsafe_get heap ((!i - 1) / 2)) do
       let parent = (!i - 1) / 2 in
       Array.unsafe_set heap !i (Array.unsafe_get heap parent);
       i := parent
     done;
     Array.unsafe_set heap !i pid
 
-  let pop q =
-    assert (q.size > 0);
-    let heap = q.heap in
+  let pop r =
+    assert (r.queued > 0);
+    let heap = r.heap in
     let m = Array.unsafe_get heap 0 in
-    q.size <- q.size - 1;
-    let last = Array.unsafe_get heap q.size in
+    r.queued <- r.queued - 1;
+    let last = Array.unsafe_get heap r.queued in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 in
-      if l >= q.size then continue := false
+      if l >= r.queued then continue := false
       else begin
-        let r = l + 1 in
+        let rt = l + 1 in
         let c =
           if
-            r < q.size
-            && before q (Array.unsafe_get heap r) (Array.unsafe_get heap l)
-          then r
+            rt < r.queued
+            && before r (Array.unsafe_get heap rt) (Array.unsafe_get heap l)
+          then rt
           else l
         in
         let pc = Array.unsafe_get heap c in
-        if before q pc last then begin
+        if before r pc last then begin
           Array.unsafe_set heap !i pc;
           i := c
         end
@@ -280,6 +283,8 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
         Array.init nprocs (fun g ->
             Array.of_seq
               (Seq.filter (fun i -> group.(i) = g) (Seq.init nprocs Fun.id)));
+      heap = Array.make nprocs 0;
+      queued = 0;
       run_ahead;
       parking;
     }
@@ -298,6 +303,7 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
           p_scope = Group;
           p_parked = false;
           p_frozen = false;
+          p_asleep = false;
           p_max_cycles = max_cycles;
           p_run = r;
         });
@@ -311,9 +317,18 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
    own clock or its earliest queued arrival — its frozen term, [far]
    with nothing queued.
 
-   - A [Self] wait reads only state its own processor changes, so it
-     stays frozen until it is resumed, and its frozen term counts in
-     every other processor's horizon as well as in [visible].
+   - A [Self] wait reads only state its own message handlers write, so
+     only a message to it can end it. It stays frozen until it is
+     resumed, and its frozen term counts in every other processor's
+     horizon as well as in [visible]. With nothing queued it sleeps: it
+     leaves the run queue until [sent] pushes it back, since every
+     resume before then would poll an empty queue and re-read an
+     unchanged predicate.
+   - A [Global] wait (the drain) reads state any processor may change,
+     but leaving it changes nothing another processor reads. It counts
+     in horizons as a [Self] waiter does, but no message marks its end,
+     so it never sleeps: it wakes each time the other clocks pass its
+     visibility bound.
    - A [Group] wait reads state its group shares, so every event that
      may change that state unfreezes the group's parked [Group] waiters
      ([touch]): a processor resumed while not parked (it may mutate its
@@ -391,20 +406,26 @@ let horizon_of p =
   done;
   of_key !k
 
+let wake q =
+  q.p_asleep <- false;
+  Runq.push q.p_run q.p_id
+
 (* [p], running, has queued a message for [dst]. A frozen [dst]'s term
-   was computed from its earlier arrival and may now be lower; for a
-   [Self] waiter, so may [p]'s horizon, which was computed at resume
-   from the old term. *)
+   was computed from its earlier arrival and may now be lower; unless
+   [dst] waits [Group]-scoped, so may [p]'s horizon, which was computed
+   at resume from the old term. A sleeping [dst] goes back on the run
+   queue at its own clock, and its next [idle_skip] reads the arrival. *)
 let sent p ~dst =
   let r = p.p_run in
   let q = r.tasks.(dst) in
   if q.p_frozen then begin
     let t = frozen_term r q in
     r.vterm.(dst) <- t;
-    if q.p_scope = Self then begin
+    if q.p_scope <> Group then begin
       r.hterm.(dst) <- t;
       let h = of_key ((2 * t) + r.tie_la.((p.p_id * p.p_nprocs) + dst)) in
-      if h < p.p_horizon then p.p_horizon <- h
+      if h < p.p_horizon then p.p_horizon <- h;
+      if q.p_asleep then wake q
     end
   end
 
@@ -529,10 +550,9 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
   in
   let r = tasks.(0).p_run in
   let fire_due = event_pump tasks events in
-  let q = Runq.create tasks in
-  Array.iter (fun p -> Runq.push q p.p_id) tasks;
-  while q.Runq.size > 0 do
-    let p = tasks.(Runq.pop q) in
+  Array.iter (fun p -> Runq.push r p.p_id) tasks;
+  while r.queued > 0 do
+    let p = tasks.(Runq.pop r) in
     (* A popped processor may have been killed by an event while parked
        in the heap; skip it. *)
     let running = ref (live p) in
@@ -578,21 +598,23 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
             p.p_frozen <- true;
             let t = frozen_term r p in
             r.vterm.(p.p_id) <- t;
-            r.hterm.(p.p_id) <-
-              (match p.p_scope with Self -> t | Group -> p.p_now)
+            r.hterm.(p.p_id) <- (if p.p_scope = Group then p.p_now else t);
+            (* Nothing queued: only [sent] can end a [Self] wait. *)
+            p.p_asleep <- p.p_scope = Self && t >= far
           end
           else begin
             r.hterm.(p.p_id) <- p.p_now;
             r.vterm.(p.p_id) <- p.p_now
           end;
+          if p.p_asleep then running := false
           (* Self-resume fast path: pushing [p] and popping again would
              return [p] itself whenever it is still the strict (clock,
              pid) minimum — [before] is total on live processors (unique
              pids), so the comparison against the heap top decides the
              pick exactly. Skip the heap churn and resume directly. *)
-          if q.Runq.size > 0 && not (Runq.before q p.p_id (Runq.top q)) then
+          else if r.queued > 0 && not (Runq.before r p.p_id (Runq.top r)) then
           begin
-            Runq.push q p.p_id;
+            Runq.push r p.p_id;
             running := false
           end
         | Finished -> running := false
@@ -600,6 +622,13 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
       end
     done
   done;
+  (* A processor still asleep waits for a message nobody is left to
+     send, and re-checking its predicate changes nothing: the run is
+     deadlocked. Queued, the sleeper with the least (clock, pid) would
+     resume first, with no horizon, and spin into the cycle limit; raise
+     that now. *)
+  Array.iter (fun p -> if p.p_asleep then wake p) tasks;
+  if r.queued > 0 then raise (Cycle_limit (Runq.top r));
   outcome tasks
 
 (* Externally-scheduled variant for the litmus model checker: run-ahead

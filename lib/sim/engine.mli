@@ -34,7 +34,9 @@ type proc
 
 exception Cycle_limit of int
 (** Raised (carrying the processor id) when a processor exceeds the run's
-    cycle budget — the simulator's deadlock/livelock backstop. *)
+    cycle budget — the simulator's deadlock/livelock backstop — or, under
+    run-ahead, as soon as every live processor sleeps (see
+    {!idle_skip}), since each of them could only spin into it. *)
 
 type outcome = {
   finish : int array;  (** each processor's finish time in cycles *)
@@ -92,7 +94,8 @@ val run :
     are queued and handled (a [Network.arrivals] array is exact). An
     entry may be earlier than the true earliest arrival, never later.
     When the running processor queues a message for another, it must
-    call {!sent} after updating the entry.
+    call {!sent} after updating the entry (a crash event's callback
+    need not: parking is off when [events] are scheduled).
 
     [lookahead] is a flat [nprocs * nprocs] matrix; entry
     [p * nprocs + q] is a lower bound on the virtual-time delay before
@@ -159,11 +162,16 @@ type scope =
       (** The wait predicate reads state its group shares: it may change
           whenever a processor of the group runs or handles a message. *)
   | Self
-      (** Self-woken: the wait's only action another processor can
-          observe is handling a message. Its predicate reads only state
-          its own processor changes, or leaving the wait changes nothing
-          another processor reads. *)
-(** What an idle wait's predicate reads (see {!idle_skip}). *)
+      (** Message-woken: the predicate reads only state the waiter's own
+          message handlers write, so only a message to it can end the
+          wait (a lock grant, a flat barrier release). *)
+  | Global
+      (** The predicate reads state any processor may change, so no
+          message marks the wait's end, but leaving the wait changes
+          nothing another processor reads (the post-run drain). *)
+(** What an idle wait's predicate reads (see {!idle_skip}). In both
+    [Self] and [Global] waits, the waiter's only action another
+    processor can observe is handling a message. *)
 
 val idle_skip : ?scope:scope -> proc -> quantum:int -> int
 (** [idle_skip p ~quantum] is the number of cycles an idle spin loop —
@@ -188,17 +196,32 @@ val idle_skip : ?scope:scope -> proc -> quantum:int -> int
     {!Group}) says what that predicate reads:
 
     - a {!Group} waiter is frozen until a {!touch} hits its group;
-    - a {!Self} waiter is frozen until it is resumed, and its frozen
-      term also replaces its clock in every other processor's horizon:
-      a processor running beside it is no longer bounded by its clock.
-      A message queued for it mid-slice must be reported with {!sent},
-      which lowers the sender's horizon to the waiter's new term.
+    - a {!Self} or {!Global} waiter is frozen until it is resumed, and
+      its frozen term also replaces its clock in every other processor's
+      horizon: a processor running beside it is no longer bounded by its
+      clock. A message queued for it mid-slice must be reported with
+      {!sent}, which lowers the sender's horizon to the waiter's new
+      term;
+    - a {!Self} waiter with nothing queued also {e sleeps}: it leaves
+      the run queue, so it is not resumed each time the other clocks
+      pass its bound, and only {!sent} puts it back, at its own clock.
+      Its next [idle_skip] then reads the arrival and lands on the first
+      lattice point at or past it — the point the skipped resumes would
+      have reached, each of them an empty probe of an unchanged
+      predicate. If the run queue empties while processors sleep, each
+      waits for a message nobody can send: the run raises
+      {!Cycle_limit} for the sleeper with the least (clock, pid), the
+      one that would have spun into the limit first had it stayed
+      queued;
+    - a {!Global} waiter never sleeps, since no message ends its wait:
+      it wakes each time the other clocks pass its bound.
 
     So a node whose processors all wait advances in message-arrival or
     remote-lookahead steps rather than one [quantum] per scheduler
-    switch, and a lock or barrier waiter stops leapfrogging its running
-    siblings. Parking is off under [run ~run_ahead:false],
-    {!run_controlled} and when [events] are scheduled. *)
+    switch, a lock or barrier waiter stops leapfrogging its running
+    siblings, and waiting processors cost nothing until a message comes.
+    Parking is off under [run ~run_ahead:false], {!run_controlled} and
+    when [events] are scheduled. *)
 
 val touch : proc -> unit
 (** [touch p] records that [p] may have changed state its group reads,
@@ -207,14 +230,18 @@ val touch : proc -> unit
     {!idle_skip} must call it when it handles a message and when it
     leaves the loop. A {!Group} waiter's predicate may read only state
     that processors of its own group change, a {!Self} waiter's only
-    state its own processor changes (anything else must reach it as a
-    message); the scheduler touches on behalf of a processor resumed
-    while not parked. Touching more often than needed only costs
-    skipped cycles. *)
+    state its own message handlers change (anything else must reach it
+    as a message); the scheduler touches on behalf of a processor
+    resumed while not parked. Touching more often than needed only
+    costs skipped cycles. *)
 
 val sent : proc -> dst:int -> unit
 (** [sent p ~dst] reports that [p], running, has just queued a message
     for [dst] and updated [arrivals.(dst)]: a frozen [dst]'s terms are
-    recomputed, and if [dst] is a {!Self} waiter, [p]'s horizon drops to
-    [dst]'s new term plus the pair's lookahead. Reporting a send that
-    changed nothing only costs a few reads. *)
+    recomputed, and if [dst] is a {!Self} or {!Global} waiter, [p]'s
+    horizon drops to [dst]'s new term plus the pair's lookahead. A
+    sleeping [dst] goes back on the run queue. So under run-ahead,
+    reporting every send is needed for liveness, not only for the
+    horizon: a sleeper whose message goes unreported is never resumed
+    to handle it, and the run ends in {!Cycle_limit}. Reporting a send
+    that changed nothing only costs a few reads. *)

@@ -473,6 +473,32 @@ let test_recover_data_coherent () =
       check_coherent what m)
     fuzz_seeds
 
+(* The contract on restored bytes: a lost block holds the newest data
+   reply logged since the snapshot. Processor 1's store fetches the
+   block from its home (a reply carrying 0), and after the barrier
+   processor 2's store fetches it from processor 1 (a reply carrying
+   11); with no snapshot after the first, recovery must restore 11. *)
+let test_recover_data_newest () =
+  let cfg =
+    Config.create ~variant:Config.Base ~nprocs:3 ~procs_per_node:1
+      ~heap_bytes:(64 * 1024) ()
+  in
+  let h = Dsm.create cfg in
+  let x = Dsm.alloc h ~home:0 8 in
+  let bar = Dsm.alloc_barrier h in
+  let ckpt = Checkpoint.attach (Dsm.machine h) ~interval:max_int in
+  Dsm.run h (fun ctx ->
+      if Dsm.pid ctx = 1 then Dsm.store_int ctx x 11;
+      Dsm.barrier ctx bar;
+      if Dsm.pid ctx = 2 then Dsm.store_int ctx x 22);
+  Alcotest.(check int) "no snapshot after the initial one" 1
+    (Checkpoint.snapshots ckpt);
+  match Checkpoint.recover_data ckpt ~block:x with
+  | None -> Alcotest.fail "block unknown to the checkpoint"
+  | Some bytes ->
+    Alcotest.(check int) "the newest logged reply's value" 11
+      (Int64.to_int (Bytes.get_int64_le bytes 0))
+
 let () =
   Alcotest.run "crash"
     [
@@ -493,5 +519,7 @@ let () =
             test_recover_data_total;
           Alcotest.test_case "restores the coherent copy" `Quick
             test_recover_data_coherent;
+          Alcotest.test_case "restores the newest logged reply" `Quick
+            test_recover_data_newest;
         ] );
     ]

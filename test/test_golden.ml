@@ -117,6 +117,17 @@ let test_single_domain () =
     "every body ran on the caller's domain"
     (Array.make nprocs caller) ran_on
 
+(* Per processor, its finish cycle and stats: what a yield budget's run
+   must reproduce from the always-yield run. *)
+let per_proc h =
+  Array.to_list
+    (Array.map
+       (fun p ->
+         ( p.Machine.app_finish_cycles,
+           Array.to_list p.Machine.stats.Stats.cycles,
+           Array.to_list p.Machine.stats.Stats.misses ))
+       (Dsm.machine h).Machine.procs)
+
 (* Yield budget of the frozen-node idle skip: processors 0-3 (node 0)
    compute while the other twelve wait at a barrier, so nodes 1-3 are
    wholly waiting. Their processors must skip to their next possible
@@ -132,16 +143,7 @@ let barrier_after_compute ~run_ahead =
           Dsm.compute ctx 1000
         done;
       Dsm.barrier ctx bar);
-  let per_proc =
-    Array.to_list
-      (Array.map
-         (fun p ->
-           ( p.Machine.app_finish_cycles,
-             Array.to_list p.Machine.stats.Stats.cycles,
-             Array.to_list p.Machine.stats.Stats.misses ))
-         (Dsm.machine h).Machine.procs)
-  in
-  (per_proc, fst (Dsm.sched_counts h))
+  (per_proc h, fst (Dsm.sched_counts h))
 
 let test_waiting_nodes_skip () =
   let ay, ay_yields = barrier_after_compute ~run_ahead:false in
@@ -175,16 +177,7 @@ let lock_convoy ~run_ahead =
         Dsm.unlock ctx lk
       end;
       Dsm.barrier ctx bar);
-  let per_proc =
-    Array.to_list
-      (Array.map
-         (fun p ->
-           ( p.Machine.app_finish_cycles,
-             Array.to_list p.Machine.stats.Stats.cycles,
-             Array.to_list p.Machine.stats.Stats.misses ))
-         (Dsm.machine h).Machine.procs)
-  in
-  (per_proc, fst (Dsm.sched_counts h))
+  (per_proc h, fst (Dsm.sched_counts h))
 
 let test_lock_convoy_skips () =
   let ay, ay_yields = lock_convoy ~run_ahead:false in
@@ -197,6 +190,52 @@ let test_lock_convoy_skips () =
     (Printf.sprintf "performed yields %d <= 1,000 (always-yield %d)" ra_yields
        ay_yields)
     true (ra_yields <= 1_000)
+
+(* Yield budget of sleeping waiters: processor 0 takes 200 2-hop read
+   misses to blocks homed on the next coherence node while the other
+   fifteen processors wait at a flat barrier. Only a message can release
+   a flat-barrier waiter, so it sleeps until one comes instead of being
+   resumed each time processor 0's clock passes its bound: switches per
+   miss must not grow with the number of waiting processors — at the
+   same virtual times as the always-yield scheduler. *)
+let misses_beside_waiters ~smp ~run_ahead =
+  let cfg =
+    if smp then Config.create ~variant:Config.Smp ~nprocs:16 ~clustering:4 ()
+    else Config.create ~variant:Config.Base ~nprocs:16 ~procs_per_node:1 ()
+  in
+  let h = Dsm.create cfg in
+  let n = 200 in
+  let blocks = Dsm.alloc h ~home:(if smp then 4 else 1) (64 * n) in
+  let bar = Dsm.alloc_barrier h in
+  Dsm.run ~run_ahead h (fun ctx ->
+      if Dsm.pid ctx = 0 then
+        for k = 0 to n - 1 do
+          ignore (Dsm.load_float ctx (blocks + (64 * k)))
+        done;
+      Dsm.barrier ctx bar);
+  ( per_proc h,
+    fst (Dsm.sched_counts h),
+    Stats.total_misses (Dsm.aggregate_stats h) )
+
+let test_misses_beside_waiters () =
+  List.iter
+    (fun smp ->
+      let what = if smp then "smp 16x4" else "base 16" in
+      let ay, _, _ = misses_beside_waiters ~smp ~run_ahead:false in
+      let ra, ra_yields, misses = misses_beside_waiters ~smp ~run_ahead:true in
+      Alcotest.(check (list (triple int (list int) (list int))))
+        (what ^ ": finish cycles and stats agree with always-yield")
+        ay ra;
+      Alcotest.(check int) (what ^ ": one miss per block") 200 misses;
+      (* 49.4 (base) and 67.4 (smp) switches per miss while each waiter
+         was resumed at every bound crossing; 7.4 and 7.8 once they
+         sleep. *)
+      let per_miss = float_of_int ra_yields /. float_of_int misses in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f performed yields per miss <= 10" what
+           per_miss)
+        true (per_miss <= 10.))
+    [ false; true ]
 
 let () =
   match Sys.getenv_opt "SHASTA_GOLDEN_WRITE" with
@@ -221,5 +260,7 @@ let () =
               test_waiting_nodes_skip;
             Alcotest.test_case "lock convoy skips" `Quick
               test_lock_convoy_skips;
+            Alcotest.test_case "misses beside waiting processors" `Quick
+              test_misses_beside_waiters;
           ] );
       ]

@@ -276,6 +276,109 @@ let test_self_woken_send () =
   Alcotest.(check bool) "p saw the flag one step after q handled" true
     (List.mem (1, "msg", 600) log && List.mem (0, "flag", 610) log)
 
+(* Sleep: q waits self-woken with nothing queued, so it leaves the run
+   queue, while p and r compute in lockstep and pass its clock every
+   step. Mid-run p queues the message q's handler turns into a flag and
+   spins on that flag. The send must push q back, or p spins into the
+   cycle limit; q must handle the message at always-yield's cycle; and
+   q must not have been resumed each time p and r passed its clock.
+   [checks] counts q's predicate re-checks. *)
+let sleeper checks () =
+  let arrivals = Array.make 5 max_int in
+  let flag = ref false in
+  ( arrivals,
+    fun saw p ->
+      match Engine.pid p with
+      | 0 ->
+        for _ = 1 to 300 do
+          Engine.advance p 100
+        done;
+        arrivals.(1) <- Engine.now p + 100;
+        Engine.sent p ~dst:1;
+        saw p "sent";
+        while not !flag do
+          Engine.advance p 100
+        done;
+        saw p "flag"
+      | 1 ->
+        let probe () =
+          incr checks;
+          if arrivals.(1) <= Engine.now p then begin
+            Engine.touch p;
+            arrivals.(1) <- max_int;
+            saw p "msg";
+            flag := true
+          end
+        in
+        wait ~scope:Engine.Self ~probe p (fun () -> !flag)
+      | 2 ->
+        for _ = 1 to 500 do
+          Engine.advance p 100
+        done
+      | _ -> () )
+
+let test_sleeper_woken_by_send () =
+  let log, _, _ = same_both_ways (sleeper (ref 0)) in
+  Alcotest.(check bool) "q handled at the first lattice point past 30,100"
+    true
+    (List.mem (1, "msg", 30_120) log && List.mem (0, "flag", 30_200) log);
+  let checks = ref 0 in
+  let arrivals, body = sleeper checks () in
+  ignore
+    (Engine.run ~nprocs:5 ~arrivals ~lookahead:group_lookahead
+       (body (fun _ _ -> ())));
+  (* 403 while q was resumed each time p and r passed its bound; 5 once
+     it sleeps. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "q re-checked %d times <= 10" !checks)
+    true (!checks <= 10)
+
+(* Deadlock: every live processor sleeps, waiting for a message nobody
+   sends. The run must end in [Cycle_limit] for the sleeper with the
+   least (clock, pid): queued, it would have spun into the limit
+   first. *)
+let test_all_asleep () =
+  Alcotest.check_raises "cycle limit" (Engine.Cycle_limit 1) (fun () ->
+      ignore
+        (Engine.run ~nprocs:5 ~max_cycles:100_000 ~lookahead:group_lookahead
+           (fun p ->
+             let never () = wait ~scope:Engine.Self p (fun () -> false) in
+             match Engine.pid p with
+             | 0 ->
+               Engine.advance p 500;
+               never ()
+             | 1 -> never ()
+             | 2 -> Engine.advance p 2_000
+             | 4 ->
+               Engine.advance p 100;
+               never ()
+             | _ -> ())))
+
+(* A [Global] wait (the drain's) never sleeps: its predicate can turn
+   true without a message, so the waiter must leave while the processor
+   that turned it still runs, not once the run queue empties. *)
+let test_global_waiter_wakes () =
+  let flag = ref false and remote_done = ref false in
+  let left_early = ref false in
+  ignore
+    (Engine.run ~nprocs:5 ~lookahead:group_lookahead (fun p ->
+         match Engine.pid p with
+         | 0 ->
+           wait ~scope:Engine.Global p (fun () -> !flag);
+           left_early := not !remote_done
+         | 1 ->
+           for _ = 1 to 500 do
+             Engine.advance p 100
+           done
+         | 4 ->
+           for i = 1 to 500 do
+             Engine.advance p 100;
+             if i = 100 then flag := true
+           done;
+           remote_done := true
+         | _ -> ()));
+  Alcotest.(check bool) "left while the remote still ran" true !left_early
+
 (* [run_controlled] hands [choose] exactly the live pids in (clock, pid)
    order. The bodies publish the clock each advance suspends at; the
    recording [choose] rebuilds the expected order from that, with ties
@@ -352,6 +455,12 @@ let () =
             test_frozen_message_waker;
           Alcotest.test_case "send to a self-woken sibling" `Quick
             test_self_woken_send;
+          Alcotest.test_case "send wakes a sleeper" `Quick
+            test_sleeper_woken_by_send;
+          Alcotest.test_case "all asleep ends in the cycle limit" `Quick
+            test_all_asleep;
+          Alcotest.test_case "a global waiter does not sleep" `Quick
+            test_global_waiter_wakes;
         ] );
       ( "controlled",
         [
