@@ -345,12 +345,17 @@ module Make (S : SUBSTRATE) = struct
         send v requester (Msg.Inval_ack { block = S.block v })
       | Some _ | None -> (
         match S.base v with
-        | State_table.Shared | State_table.Exclusive ->
+        | State_table.Shared ->
           S.mark v "inval.downgrade";
           start_node_downgrade v ~target:State_table.Invalid
             ~deferred:(Downgrade.Inval_done { requester })
-        | State_table.Invalid ->
-          (* Stale invalidation; nothing to do but acknowledge. *)
+        | State_table.Exclusive | State_table.Invalid ->
+          (* Stale invalidation: nothing to do but acknowledge. The home
+             invalidates only sharers, so one that finds the node
+             Exclusive targeted a shared copy this node has since
+             replaced by ownership serialized after it (a readex served
+             by the invalidating writer). Downgrading would kill the
+             fresh copy the directory names as owner. *)
           S.mark v "inval.stale_ack";
           send v requester (Msg.Inval_ack { block = S.block v })))
 

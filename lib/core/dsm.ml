@@ -4,9 +4,13 @@ module State_table = Shasta_mem.State_table
 module Layout = Shasta_mem.Layout
 module Network = Shasta_net.Network
 
-type handle = { m : Machine.t; mutable ran : bool; mutable sched : int * int }
+type handle = {
+  m : Machine.t;
+  mutable ran : bool;
+  mutable sched : Engine.outcome option;
+}
 
-let create cfg = { m = Machine.create cfg; ran = false; sched = (0, 0) }
+let create cfg = { m = Machine.create cfg; ran = false; sched = None }
 let config h = h.m.Machine.cfg
 let machine h = h.m
 
@@ -202,7 +206,7 @@ let run ?(run_ahead = true) ?(events = []) h body =
         flush ctx;
         Protocol.drain p)
   in
-  h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
+  h.sched <- Some outcome
 
 let run_controlled ?(events = []) ~choose h body =
   assert (not h.ran);
@@ -221,9 +225,17 @@ let run_controlled ?(events = []) ~choose h body =
         flush ctx;
         Protocol.drain p)
   in
-  h.sched <- (outcome.Engine.yields_performed, outcome.Engine.yields_elided)
+  h.sched <- Some outcome
 
-let sched_counts h = h.sched
+let sched_counts h =
+  match h.sched with
+  | None -> (0, 0)
+  | Some o -> (o.Engine.yields_performed, o.Engine.yields_elided)
+
+let sched_sites h =
+  match h.sched with
+  | None -> { Engine.poll = 0; group = 0; self = 0; global = 0 }
+  | Some o -> o.Engine.yields_by_site
 
 let now ctx =
   flush ctx;

@@ -184,3 +184,7 @@ val sched_counts : handle -> int * int
 (** (performed, elided) yield-effect counts of this handle's {!run} —
     the per-run scheduler observability of {!Shasta_sim.Engine.outcome}.
     [(0, 0)] before [run]. *)
+
+val sched_sites : handle -> Shasta_sim.Engine.sites
+(** The performed yields of this handle's {!run} by site
+    ({!Shasta_sim.Engine.sites}); all zero before [run]. *)

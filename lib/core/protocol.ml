@@ -546,9 +546,11 @@ let op_tick ctx =
    leaving this loop: both [Engine.touch] the node, so a parked sibling
    counts as frozen exactly while its predicate cannot have changed.
    [scope] is [Engine.Self] only for a predicate that reads nothing but
-   this processor's own state, which only its own message handlers
-   write (a lock grant, a flat barrier release): such a waiter sleeps
-   until a message for it is sent. *)
+   state that only this processor's own message handlers write: a lock
+   grant, a flat barrier release, or the [data_ready] of a miss entry
+   it opened (see [await_data]). Such a waiter is resumed only once a
+   message for it is due: the scheduler queues it by its earliest
+   arrival, and with nothing queued it sleeps until one is sent. *)
 let stall ?(scope = Engine.Group) ctx cat pred =
   let gap = ctx.t.Timing.stall_gap in
   with_category ctx cat (fun () ->
@@ -569,12 +571,23 @@ let await_retire ctx cat block =
   stall ctx cat (fun () ->
       Option.is_none (Miss_table.find ns.Machine.misses ~block))
 
+(* Wait for an entry's data. Replies go to the entry's requester, and
+   only its reply handlers ([Coherence.handle_data_reply] and
+   [handle_upgrade_reply]) write [data_ready], so the requester's wait
+   is self-woken. A sibling merged into the entry waits node-scoped: the
+   requester's handling changes what it reads. *)
+let await_data ctx cat e =
+  let scope =
+    if e.Miss_table.requester = pid ctx then Engine.Self else Engine.Group
+  in
+  stall ~scope ctx cat (fun () -> e.Miss_table.data_ready)
+
 let load_miss ctx ~addr =
   let block = Machine.block_base ctx.m addr in
   match Handlers.load_miss (access_view ctx block) with
   | `Done -> `Valid
   | `Data e ->
-    stall ctx Stats.Read (fun () -> e.Miss_table.data_ready);
+    await_data ctx Stats.Read e;
     `Retry
   | `Retire ->
     await_retire ctx Stats.Read block;
@@ -653,7 +666,7 @@ let rec ensure_line ctx line need =
       await_retire ctx cat block;
       ensure_line ctx line need
     | Some e when not e.Miss_table.data_ready ->
-      stall ctx cat (fun () -> e.Miss_table.data_ready);
+      await_data ctx cat e;
       accept e
     | Some _ when not (sufficient ()) ->
       (* Ack-draining entry over a re-invalidated block: wait it out. *)
@@ -671,7 +684,7 @@ let rec ensure_line ctx line need =
           else Msg.Read
         in
         let e = Handlers.fetch (access_view ctx block) kind in
-        stall ctx cat (fun () -> e.Miss_table.data_ready);
+        await_data ctx cat e;
         accept e
       end
 

@@ -65,6 +65,7 @@ type result = {
   downgrade_msgs : int;
   verdict : App.verdict;
   yields : int * int;
+  sites : Shasta_sim.Engine.sites;
   metrics : Shasta_trace.Metrics.t option;
 }
 
@@ -146,6 +147,7 @@ let execute spec =
     downgrade_msgs;
     verdict;
     yields = Dsm.sched_counts h;
+    sites = Dsm.sched_sites h;
     metrics;
   }
 

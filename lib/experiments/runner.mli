@@ -39,6 +39,8 @@ type result = {
   verdict : Shasta_apps.App.verdict;
   yields : int * int;
       (** (performed, elided) scheduler yields, {!Shasta_core.Dsm.sched_counts} *)
+  sites : Shasta_sim.Engine.sites;
+      (** performed yields by site, {!Shasta_core.Dsm.sched_sites} *)
   metrics : Shasta_trace.Metrics.t option;
       (** the run's metrics observer, when [SHASTA_TRACE] was set *)
 }

@@ -1,3 +1,4 @@
+module Engine = Shasta_sim.Engine
 module Stats = Shasta_core.Stats
 module Metrics = Shasta_trace.Metrics
 module H = Shasta_util.Histogram
@@ -127,6 +128,7 @@ let json t ~scale ~wall ~jobs out =
     \  \"host_cores\": %d,\n\
     \  \"yields_performed\": %s,\n\
     \  \"yields_elided\": %s,\n\
+    \  \"yields_by_site\": %s,\n\
     \  \"fastpath\": %b,\n\
     \  \"hit_fastpath_rate\": %s,\n\
     \  \"runs\": %d"
@@ -137,6 +139,14 @@ let json t ~scale ~wall ~jobs out =
     (Domain.recommended_domain_count ())
     (if_ran (fun () -> string_of_int (sum (fun r -> fst r.Runner.yields))))
     (if_ran (fun () -> string_of_int (sum (fun r -> snd r.Runner.yields))))
+    (if_ran (fun () ->
+         let site f = sum (fun r -> f r.Runner.sites) in
+         Printf.sprintf
+           "{ \"poll\": %d, \"group\": %d, \"self\": %d, \"global\": %d }"
+           (site (fun s -> s.Engine.poll))
+           (site (fun s -> s.Engine.group))
+           (site (fun s -> s.Engine.self))
+           (site (fun s -> s.Engine.global))))
     (Shasta_core.Config.env_fastpath ())
     (if_ran (fun () ->
          Printf.sprintf "%.6f"

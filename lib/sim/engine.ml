@@ -45,6 +45,9 @@ type proc = {
 and shared = {
   mutable performed : int;
   mutable elided : int;
+  wait_ends : int array;
+      (* Performed yields that ended a wait iteration, per [scope]
+         ([scope_index]). *)
   mutable tasks : proc array;
   lookahead : int array;
       (* Flat [nprocs * nprocs], closed under the triangle inequality. *)
@@ -57,19 +60,27 @@ and shared = {
          visibility bounds: its clock, [far] while it runs or after it
          finishes, or its frozen term (see [touch]). *)
   members : int array array;  (* Per group (indexed by its least pid). *)
+  key : int array;
+      (* Per processor, its run-queue key: its frozen term while it is
+         a parked [Self] waiter, its clock otherwise. *)
   heap : int array;
   mutable queued : int;
       (* The run queue: [heap.(0 .. queued - 1)] is a binary min-heap of
-         pids (see [Runq]). *)
+         pids on (key, pid) (see [Runq]). *)
   run_ahead : bool;
   parking : bool;
 }
+
+type sites = { poll : int; group : int; self : int; global : int }
 
 type outcome = {
   finish : int array;
   yields_performed : int;
   yields_elided : int;
+  yields_by_site : sites;
 }
+
+let scope_index = function Group -> 0 | Self -> 1 | Global -> 2
 
 exception Cycle_limit of int
 
@@ -99,7 +110,7 @@ let advance_local p c =
    every peer's clock and status, a running processor never enqueues a
    message to itself ([Protocol.deliver] handles those inline), so
    re-performing would recompute the identical horizon and pop the
-   unique (clock, pid) minimum — [p] itself — right back. A protocol
+   unique (key, pid) minimum — [p] itself — right back. A protocol
    operation typically issues several scheduling points at one virtual
    time (the flush charge, the poll charge, the poll probe), and this
    collapses them into at most one continuation switch. *)
@@ -152,11 +163,13 @@ let live p =
   | Finished -> false
   | Fresh | Suspended _ | Running -> true
 
-(* Runnable set as a binary min-heap of pids on (clock, pid) —
-   lexicographic, so equal clocks resume in processor-id order, exactly
-   the tie-break of the original O(n) scan. A processor's clock only
-   moves while it runs, and it is out of the heap while it runs or
-   sleeps, so heap order is never invalidated in place. Capacity is
+(* Runnable set as a binary min-heap of pids on (key, pid) —
+   lexicographic, so equal keys resume in processor-id order, exactly
+   the tie-break of the original O(n) scan. A key is the processor's
+   clock, except that a parked [Self] waiter is keyed by its frozen term
+   (see [run]). A processor's clock only moves while it runs, and it is
+   out of the heap while it runs or sleeps; a queued key changes only
+   when [sent] lowers it, and [lower] restores the order. Capacity is
    nprocs; no allocation after creation, and the heap holds ints, so
    moving an entry is a plain store. *)
 module Runq = struct
@@ -166,23 +179,37 @@ module Runq = struct
 
   (* Does pid [a] run before pid [b]? *)
   let before r a b =
-    let ca = (Array.unsafe_get r.tasks a).p_now
-    and cb = (Array.unsafe_get r.tasks b).p_now in
-    ca < cb || (ca = cb && a < b)
+    let ka = Array.unsafe_get r.key a and kb = Array.unsafe_get r.key b in
+    ka < kb || (ka = kb && a < b)
 
   let top r = Array.unsafe_get r.heap 0
 
-  let push r pid =
-    assert (r.queued < Array.length r.heap);
+  (* Move [pid] from slot [i] towards the root to its place. *)
+  let sift_up r i pid =
     let heap = r.heap in
-    let i = ref r.queued in
-    r.queued <- r.queued + 1;
+    let i = ref i in
     while !i > 0 && before r pid (Array.unsafe_get heap ((!i - 1) / 2)) do
       let parent = (!i - 1) / 2 in
       Array.unsafe_set heap !i (Array.unsafe_get heap parent);
       i := parent
     done;
     Array.unsafe_set heap !i pid
+
+  let push r pid =
+    assert (r.queued < Array.length r.heap);
+    r.queued <- r.queued + 1;
+    sift_up r (r.queued - 1) pid
+
+  (* Queued [pid]'s key has just been lowered. Rare (a send that moves
+     up a waiter whose earlier message is already queued), so a scan
+     finds its slot rather than every move maintaining an index. *)
+  let lower r pid =
+    let i = ref 0 in
+    while !i < r.queued && Array.unsafe_get r.heap !i <> pid do
+      incr i
+    done;
+    assert (!i < r.queued);
+    sift_up r !i pid
 
   let pop r =
     assert (r.queued > 0);
@@ -268,6 +295,7 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
     {
       performed = 0;
       elided = 0;
+      wait_ends = Array.make 3 0;
       tasks = [||];
       lookahead;
       tie_la =
@@ -283,6 +311,7 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
         Array.init nprocs (fun g ->
             Array.of_seq
               (Seq.filter (fun i -> group.(i) = g) (Seq.init nprocs Fun.id)));
+      key = Array.make nprocs 0;
       heap = Array.make nprocs 0;
       queued = 0;
       run_ahead;
@@ -320,10 +349,11 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
    - A [Self] wait reads only state its own message handlers write, so
      only a message to it can end it. It stays frozen until it is
      resumed, and its frozen term counts in every other processor's
-     horizon as well as in [visible]. With nothing queued it sleeps: it
-     leaves the run queue until [sent] pushes it back, since every
-     resume before then would poll an empty queue and re-read an
-     unchanged predicate.
+     horizon as well as in [visible]. It is also queued by its frozen
+     term, not its clock: every resume before that term would poll an
+     empty queue and re-read an unchanged predicate. With nothing queued
+     the term is [far], and it sleeps: it leaves the run queue until
+     [sent] pushes it back.
    - A [Global] wait (the drain) reads state any processor may change,
      but leaving it changes nothing another processor reads. It counts
      in horizons as a [Self] waiter does, but no message marks its end,
@@ -379,7 +409,7 @@ let touch p =
    scheduler would pick somebody else, i.e. when some contributor [q]
    of the minimum would act before [p] standing at [h]: any [q] with a
    positive lookahead sits strictly below its bound, and a
-   zero-lookahead [q] at [h] wins the (clock, pid) tie-break on a lower
+   zero-lookahead [q] at [h] wins the (key, pid) tie-break on a lower
    pid. A minimum contributed only by queued messages or by higher-pid
    zero-lookahead peers means [p] acts first at [h] — so [p] may keep
    running through [h] and the horizon is [h + 1].
@@ -406,15 +436,13 @@ let horizon_of p =
   done;
   of_key !k
 
-let wake q =
-  q.p_asleep <- false;
-  Runq.push q.p_run q.p_id
-
 (* [p], running, has queued a message for [dst]. A frozen [dst]'s term
    was computed from its earlier arrival and may now be lower; unless
    [dst] waits [Group]-scoped, so may [p]'s horizon, which was computed
-   at resume from the old term. A sleeping [dst] goes back on the run
-   queue at its own clock, and its next [idle_skip] reads the arrival. *)
+   at resume from the old term. A [Self] waiter's run-queue key is that
+   term: a sleeper goes back on the run queue at it, and a queued one
+   moves up if it fell. Either way its next [idle_skip] reads the
+   arrival. *)
 let sent p ~dst =
   let r = p.p_run in
   let q = r.tasks.(dst) in
@@ -425,7 +453,14 @@ let sent p ~dst =
       r.hterm.(dst) <- t;
       let h = of_key ((2 * t) + r.tie_la.((p.p_id * p.p_nprocs) + dst)) in
       if h < p.p_horizon then p.p_horizon <- h;
-      if q.p_asleep then wake q
+      if q.p_scope = Self && t < r.key.(dst) then begin
+        r.key.(dst) <- t;
+        if q.p_asleep then begin
+          q.p_asleep <- false;
+          Runq.push r dst
+        end
+        else Runq.lower r dst
+      end
     end
   end
 
@@ -522,10 +557,16 @@ let event_pump tasks events =
 
 let outcome tasks =
   let r = tasks.(0).p_run in
+  let ends = r.wait_ends in
+  let group = ends.(scope_index Group)
+  and self = ends.(scope_index Self)
+  and global = ends.(scope_index Global) in
   {
     finish = Array.map (fun p -> p.p_now) tasks;
     yields_performed = r.performed;
     yields_elided = r.elided;
+    yields_by_site =
+      { poll = r.performed - group - self - global; group; self; global };
   }
 
 let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
@@ -592,23 +633,32 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
           (* Every scheduling point at one clock of a slice makes the
              same perform-or-elide decision, so a yield performed at the
              landing clock of the latest [idle_skip] is that skip's
-             advance: [p] parks. *)
-          if parking && p.p_now = p.p_park_at then begin
+             advance: it ends a wait iteration, and [p] parks. *)
+          let ends_wait = p.p_now = p.p_park_at in
+          if ends_wait then begin
+            let i = scope_index p.p_scope in
+            r.wait_ends.(i) <- r.wait_ends.(i) + 1
+          end;
+          if parking && ends_wait then begin
             p.p_parked <- true;
             p.p_frozen <- true;
             let t = frozen_term r p in
             r.vterm.(p.p_id) <- t;
             r.hterm.(p.p_id) <- (if p.p_scope = Group then p.p_now else t);
-            (* Nothing queued: only [sent] can end a [Self] wait. *)
+            (* Only a message can end a [Self] wait: queue it by the
+               earliest arrival, and with nothing queued only [sent]
+               puts it back. *)
+            r.key.(p.p_id) <- (if p.p_scope = Self then t else p.p_now);
             p.p_asleep <- p.p_scope = Self && t >= far
           end
           else begin
             r.hterm.(p.p_id) <- p.p_now;
-            r.vterm.(p.p_id) <- p.p_now
+            r.vterm.(p.p_id) <- p.p_now;
+            r.key.(p.p_id) <- p.p_now
           end;
           if p.p_asleep then running := false
           (* Self-resume fast path: pushing [p] and popping again would
-             return [p] itself whenever it is still the strict (clock,
+             return [p] itself whenever it is still the strict (key,
              pid) minimum — [before] is total on live processors (unique
              pids), so the comparison against the heap top decides the
              pick exactly. Skip the heap churn and resume directly. *)
@@ -624,11 +674,18 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
   done;
   (* A processor still asleep waits for a message nobody is left to
      send, and re-checking its predicate changes nothing: the run is
-     deadlocked. Queued, the sleeper with the least (clock, pid) would
-     resume first, with no horizon, and spin into the cycle limit; raise
-     that now. *)
-  Array.iter (fun p -> if p.p_asleep then wake p) tasks;
-  if r.queued > 0 then raise (Cycle_limit (Runq.top r));
+     deadlocked. Queued at its clock, the sleeper with the least (clock,
+     pid) would resume first, with no horizon, and spin into the cycle
+     limit; raise that now. *)
+  let first = ref None in
+  Array.iter
+    (fun p ->
+      if p.p_asleep then
+        match !first with
+        | Some q when q.p_now <= p.p_now -> ()
+        | _ -> first := Some p)
+    tasks;
+  Option.iter (fun p -> raise (Cycle_limit p.p_id)) !first;
   outcome tasks
 
 (* Externally-scheduled variant for the litmus model checker: run-ahead

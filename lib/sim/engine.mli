@@ -2,8 +2,10 @@
 
     Each simulated processor runs as an effect-handler coroutine with its
     own virtual cycle clock. The scheduler always resumes the runnable
-    processor with the smallest clock (ties broken by processor id), so a
-    run is a deterministic function of the program and its seeds. A run
+    processor with the smallest clock (ties broken by processor id) —
+    counting a waiter that only a message can release as standing at
+    that message's arrival (see {!idle_skip}) — so a run is a
+    deterministic function of the program and its seeds. A run
     executes entirely on the calling domain: its processors interleave,
     never overlap.
 
@@ -20,8 +22,9 @@
     become visible there, so the elision is invisible in virtual time
     (see DESIGN.md §3b for the invariant argument). Each processor's
     terms are kept in flat int arrays, so computing a horizon is one pass
-    over ints, and the runnable set is a binary min-heap of pids, so each
-    real scheduling decision is O(n) reads plus O(log n) stores.
+    over ints, and the runnable set is a binary min-heap of pids keyed by
+    clock (by next possible wake-up for a parked self-woken waiter), so
+    each real scheduling decision is O(n) reads plus O(log n) stores.
 
     Causality note: a processor observes a message in its input queue only
     at a scheduling point at-or-after the message's arrival timestamp, which
@@ -38,12 +41,28 @@ exception Cycle_limit of int
     run-ahead, as soon as every live processor sleeps (see
     {!idle_skip}), since each of them could only spin into it. *)
 
+type sites = {
+  poll : int;
+      (** every other performed yield: a poll probe's scheduling point,
+          an operation's flush or poll charge *)
+  group : int;  (** ends of {!Group} wait iterations *)
+  self : int;  (** ends of {!Self} wait iterations *)
+  global : int;  (** ends of {!Global} wait iterations *)
+}
+(** Performed yields by site. A wait iteration ends at the advance after
+    its {!idle_skip}; the scheduler classifies a yield when it suspends
+    the processor, so an elided yield costs nothing extra. The four
+    fields sum to [yields_performed]. Under [run ~run_ahead:false] and
+    {!run_controlled} no wait is skipped, so every yield counts as
+    [poll]. *)
+
 type outcome = {
   finish : int array;  (** each processor's finish time in cycles *)
   yields_performed : int;
       (** scheduling points of this run that performed the yield effect *)
   yields_elided : int;
       (** scheduling points elided by run-ahead (below the horizon) *)
+  yields_by_site : sites;
 }
 (** A run's result. The yield counters are per-run state — [run] keeps
     no cross-run mutable globals, so independent runs may execute
@@ -78,14 +97,18 @@ val run :
 
     [run_ahead] (default [true]): when false, every scheduling point
     performs the yield effect and re-enters the scheduler, as the
-    original yield-per-advance scheduler did. The simulation outcome is
-    identical either way; the flag exists for benchmarking and for
-    cross-checking determinism. The equivalence is stronger than final
-    counters: anything a processor observes or emits is a pure function
-    of its own virtual clock, so an event stream attributed to the
-    {e executing} processor at its cycle (as the core [Observer.t]
-    hooks are) is identical event-for-event under both schedulers — the
-    trace-golden test uses this as its oracle.
+    original yield-per-advance scheduler did. The flag exists for
+    benchmarking and for cross-checking determinism. Outside {!Global}
+    waits, anything a processor observes or emits is a pure function of
+    its own virtual clock, so an event stream attributed to the
+    {e executing} processor at its cycle (as the core [Observer.t] hooks
+    are) is identical event-for-event under both schedulers — the
+    trace-golden test uses this as its oracle. In the [outcome], the
+    yield counters differ by design, and [finish] is the same under both
+    schedulers except for a processor that ends in a {!Global} wait (the
+    post-run drain): that predicate reads other processors' state, which
+    a processor running ahead has already changed at a later clock, so
+    the waiter may leave, and finish, earlier under run-ahead.
 
     [arrivals] (default: nothing is ever queued) has one entry per
     processor: a lower bound on the arrival timestamp of the earliest
@@ -164,7 +187,8 @@ type scope =
   | Self
       (** Message-woken: the predicate reads only state the waiter's own
           message handlers write, so only a message to it can end the
-          wait (a lock grant, a flat barrier release). *)
+          wait (a lock grant, a flat barrier release, the reply to a
+          miss this processor requested). *)
   | Global
       (** The predicate reads state any processor may change, so no
           message marks the wait's end, but leaving the wait changes
@@ -202,24 +226,26 @@ val idle_skip : ?scope:scope -> proc -> quantum:int -> int
       clock. A message queued for it mid-slice must be reported with
       {!sent}, which lowers the sender's horizon to the waiter's new
       term;
-    - a {!Self} waiter with nothing queued also {e sleeps}: it leaves
-      the run queue, so it is not resumed each time the other clocks
-      pass its bound, and only {!sent} puts it back, at its own clock.
-      Its next [idle_skip] then reads the arrival and lands on the first
-      lattice point at or past it — the point the skipped resumes would
-      have reached, each of them an empty probe of an unchanged
-      predicate. If the run queue empties while processors sleep, each
-      waits for a message nobody can send: the run raises
+    - a {!Self} waiter is queued by its frozen term, not its clock, so
+      it is not resumed each time the other clocks pass its bound: the
+      first resume lands it on the first lattice point at or past its
+      earliest arrival — the point the skipped resumes would have
+      reached, each of them an empty probe of an unchanged predicate —
+      and it handles the message there, in the same slice or the next.
+      With nothing queued it has no such term and {e sleeps}: it leaves
+      the run queue, and only {!sent} puts it back. If the run queue empties while processors
+      sleep, each waits for a message nobody can send: the run raises
       {!Cycle_limit} for the sleeper with the least (clock, pid), the
       one that would have spun into the limit first had it stayed
-      queued;
+      queued at its clock;
     - a {!Global} waiter never sleeps, since no message ends its wait:
       it wakes each time the other clocks pass its bound.
 
     So a node whose processors all wait advances in message-arrival or
     remote-lookahead steps rather than one [quantum] per scheduler
-    switch, a lock or barrier waiter stops leapfrogging its running
-    siblings, and waiting processors cost nothing until a message comes.
+    switch, a lock, barrier or miss-requester waiter stops leapfrogging
+    its running siblings, and a self-woken waiter costs at most two
+    resumes per message it handles.
     Parking is off under [run ~run_ahead:false], {!run_controlled} and
     when [events] are scheduled. *)
 
@@ -240,8 +266,12 @@ val sent : proc -> dst:int -> unit
     for [dst] and updated [arrivals.(dst)]: a frozen [dst]'s terms are
     recomputed, and if [dst] is a {!Self} or {!Global} waiter, [p]'s
     horizon drops to [dst]'s new term plus the pair's lookahead. A
-    sleeping [dst] goes back on the run queue. So under run-ahead,
-    reporting every send is needed for liveness, not only for the
-    horizon: a sleeper whose message goes unreported is never resumed
-    to handle it, and the run ends in {!Cycle_limit}. Reporting a send
-    that changed nothing only costs a few reads. *)
+    {!Self} waiter's run-queue key is that term: a sleeping [dst] goes
+    back on the run queue at it, and a queued one moves up when the new
+    message arrives before its earlier one. So under run-ahead,
+    reporting every send is needed for liveness and for exactness, not
+    only for the horizon: a sleeper whose message goes unreported is
+    never resumed to handle it, and the run ends in {!Cycle_limit}; a
+    queued waiter whose earlier message goes unreported resumes after
+    it should have handled it. Reporting a send that changed nothing
+    only costs a few reads. *)

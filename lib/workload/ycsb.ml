@@ -118,6 +118,7 @@ type result = {
   local_msgs : int;
   downgrade_msgs : int;
   dropped_inserts : int;
+  yields : int * int;
   classes : class_stats list;
   oracle_ok : bool;
   oracle : string;
@@ -164,10 +165,12 @@ let totals_json results =
     in
     Some
       (Printf.sprintf
-         "{ \"runs\": %d, \"classes\": { %s }, \"unattributed_msgs\": %d }"
+         "{ \"runs\": %d, \"classes\": { %s }, \"unattributed_msgs\": %d, \
+          \"yields_performed\": %d }"
          runs
          (String.concat ", " (List.map cls_json classes))
-         unattributed)
+         unattributed
+         (List.fold_left (fun a r -> a + fst r.yields) 0 results))
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
@@ -483,6 +486,7 @@ let run spec =
     local_msgs = Dsm.messages_local h - downgrade_msgs;
     downgrade_msgs;
     dropped_inserts = Array.fold_left ( + ) 0 dropped;
+    yields = Dsm.sched_counts h;
     classes;
     oracle_ok;
     oracle;

@@ -99,6 +99,9 @@ type result = {
   local_msgs : int;  (** excluding downgrades *)
   downgrade_msgs : int;
   dropped_inserts : int;  (** full-bucket inserts (deterministic) *)
+  yields : int * int;
+      (** (performed, elided) scheduler yields of the run,
+          {!Shasta_core.Dsm.sched_counts} *)
   classes : class_stats list;
       (** classes with activity, in order; an [Other] entry carries the
           unattributed messages (its [count] is 0) *)
@@ -126,5 +129,6 @@ val totals :
 
 val totals_json : result list -> string option
 (** {!totals} as a JSON object (per op class: ops, p50/p99/p999,
-    msgs_per_op; plus [unattributed_msgs]), the [ycsb] member of
+    msgs_per_op; plus [unattributed_msgs] and [yields_performed], the
+    runs' performed scheduler yields), the [ycsb] member of
     [shasta_cli report --json]. *)

@@ -94,8 +94,8 @@ let json_fields j =
 let run_fields =
   [
     "target"; "wall_seconds"; "simulated_cycles"; "simulated_seconds"; "jobs";
-    "host_cores"; "yields_performed"; "yields_elided"; "fastpath";
-    "hit_fastpath_rate"; "runs";
+    "host_cores"; "yields_performed"; "yields_elided"; "yields_by_site";
+    "fastpath"; "hit_fastpath_rate"; "runs";
   ]
 
 let record (t : E.Targets.t) ~scale =
@@ -112,7 +112,7 @@ let test_json_no_runs () =
          (Printf.sprintf "\"%s\": null,")
          [
            "simulated_cycles"; "simulated_seconds"; "yields_performed";
-           "yields_elided"; "hit_fastpath_rate";
+           "yields_elided"; "yields_by_site"; "hit_fastpath_rate";
          ])
 
 (* A target's record folds over its own distinct specs, so it cannot

@@ -15,7 +15,9 @@
    8. home's own node invalidated asynchronously by its own transaction
       (home-node invalidations now run inline);
    9. store merged into a data-ready entry that no future reply covers;
-   10. private entry raised back to exclusive during a pending downgrade.
+   10. private entry raised back to exclusive during a pending downgrade;
+   11. stale invalidation downgrading a fresh Exclusive copy (the node
+       then waited forever on its own miss entry).
 
    This file also absorbed the one-shot debug drivers (debug_repro.ml,
    debug_hang.ml) that once lived beside it: their scenarios are pinned
@@ -130,6 +132,31 @@ let batched ~clustering ~block_size ~nslots ~nphases ~seed () =
       done);
   Shasta_core.Inspect.assert_invariants (Dsm.machine h)
 
+(* Mirror of test_props.run_and_check_directory with a pinned seed. At
+   seed 7787 an invalidation of node 1's shared copy landed after node 1
+   had become Exclusive through a readex served by the invalidating
+   writer; it downgraded the fresh copy while the directory still named
+   node 1's processor owner, and node 1's next readex queued on its own
+   miss entry forever ([Cycle_limit]). *)
+let directory ~seed () =
+  let nprocs = 8 in
+  let cfg = Config.create ~variant:Config.Smp ~nprocs ~clustering:4 ~seed () in
+  let h = Dsm.create cfg in
+  let nslots = 64 in
+  let arr = Dsm.alloc h ~block_size:128 (8 * nslots) in
+  let bar = Dsm.alloc_barrier h in
+  Dsm.run h (fun ctx ->
+      let prng = Dsm.prng ctx in
+      for _ = 1 to 50 do
+        let s = Shasta_util.Prng.int prng nslots in
+        if Shasta_util.Prng.bool prng then
+          Dsm.store_float ctx (arr + (8 * s)) 1.0
+        else ignore (Dsm.load_float ctx (arr + (8 * s)))
+      done;
+      Dsm.barrier ctx bar);
+  Alcotest.(check bool) "quiescent" true (Machine.quiescent (Dsm.machine h));
+  Shasta_core.Inspect.assert_invariants (Dsm.machine h)
+
 (* Water-Nsq with 2048-byte blocks under SMP stressed most of the
    historical store-merge and flag-stamp bugs. *)
 let water_nsq_vg () =
@@ -205,6 +232,8 @@ let () =
             (batched ~clustering:2 ~block_size:64 ~nslots:16 ~nphases:3 ~seed:709);
           Alcotest.test_case "peek prefers exclusive copy" `Quick
             peek_prefers_exclusive;
+          Alcotest.test_case "directory smp8 cl4 seed7787 (stale inval)"
+            `Quick (directory ~seed:7787);
           Alcotest.test_case "water-nsq vg smp-16x4 (store merge family)"
             `Slow water_nsq_vg;
           Alcotest.test_case "water-sp base-8 (fwd deadlock)" `Slow water_sp_base;

@@ -333,6 +333,117 @@ let test_sleeper_woken_by_send () =
     (Printf.sprintf "q re-checked %d times <= 10" !checks)
     true (!checks <= 10)
 
+(* Keyed queue: q waits self-woken, parks with nothing queued, and then
+   the remote sends it a grant that arrives 20,000 cycles later. Until
+   then p and r compute in lockstep beside q and pass its clock every
+   step. Queued by its clock, q would be resumed at every step to probe
+   an empty queue; queued by its frozen term it is resumed once the
+   grant is due. q must handle the grant at always-yield's cycle, and
+   [in_flight] counts its re-checks while the grant is in flight. *)
+let queued_waiter in_flight () =
+  let arrivals = Array.make 5 max_int in
+  let granted = ref false in
+  ( arrivals,
+    fun saw p ->
+      match Engine.pid p with
+      | 1 ->
+        let probe () =
+          if arrivals.(1) <= Engine.now p then begin
+            Engine.touch p;
+            arrivals.(1) <- max_int;
+            saw p "grant";
+            granted := true
+          end
+          else if arrivals.(1) < max_int then incr in_flight
+        in
+        wait ~scope:Engine.Self ~probe p (fun () -> !granted)
+      | 0 | 2 ->
+        for _ = 1 to 500 do
+          Engine.advance p 100
+        done
+      | 4 ->
+        Engine.advance p 100;
+        arrivals.(1) <- Engine.now p + 20_000;
+        Engine.sent p ~dst:1;
+        remote_idle p
+      | _ -> () )
+
+let test_queued_waiter () =
+  let log, _, _ = same_both_ways (queued_waiter (ref 0)) in
+  Alcotest.(check bool) "q handled at the first lattice point past 20,100"
+    true
+    (List.mem (1, "grant", 20_100) log);
+  let in_flight = ref 0 in
+  let arrivals, body = queued_waiter in_flight () in
+  let o =
+    Engine.run ~nprocs:5 ~arrivals ~lookahead:group_lookahead
+      (body (fun _ _ -> ()))
+  in
+  (* 267 while q was queued by its clock; 1 once it is queued by its
+     frozen term. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "q resumed %d times with the grant in flight <= 2"
+       !in_flight)
+    true (!in_flight <= 2);
+  let s = o.Engine.yields_by_site in
+  Alcotest.(check int) "yields by site sum to the performed yields"
+    o.Engine.yields_performed
+    (s.Engine.poll + s.Engine.group + s.Engine.self + s.Engine.global)
+
+(* Decrease-key: q waits self-woken with the remote's message arriving
+   at 30,100, so it is queued by that term. Then p, beside it, sends a
+   message arriving at 5,500 and spins on the flag q's handler sets. The
+   send must move q up the run queue, or q is resumed only once p and r
+   pass 30,100, and p sees the flag that late. *)
+let earlier_send () =
+  let arrivals = Array.make 5 max_int in
+  let pending = ref [] and handled = ref 0 and flag = ref false in
+  let queue at =
+    pending := List.sort compare (at :: !pending);
+    arrivals.(1) <- List.hd !pending
+  in
+  ( arrivals,
+    fun saw p ->
+      match Engine.pid p with
+      | 1 ->
+        let probe () =
+          while arrivals.(1) <= Engine.now p do
+            Engine.touch p;
+            pending := List.tl !pending;
+            arrivals.(1) <- (match !pending with a :: _ -> a | [] -> max_int);
+            saw p "msg";
+            flag := true;
+            incr handled
+          done
+        in
+        wait ~scope:Engine.Self ~probe p (fun () -> !handled = 2)
+      | 0 ->
+        for _ = 1 to 10 do
+          Engine.advance p 100
+        done;
+        queue (Engine.now p + 4_500);
+        Engine.sent p ~dst:1;
+        while not !flag do
+          Engine.advance p 100
+        done;
+        saw p "flag"
+      | 2 ->
+        for _ = 1 to 500 do
+          Engine.advance p 100
+        done
+      | 4 ->
+        Engine.advance p 100;
+        queue (Engine.now p + 30_000);
+        Engine.sent p ~dst:1;
+        remote_idle p
+      | _ -> () )
+
+let test_earlier_send () =
+  let log, _, _ = same_both_ways earlier_send in
+  Alcotest.(check bool) "p saw the flag one step after q handled at 5,520"
+    true
+    (List.mem (1, "msg", 5_520) log && List.mem (0, "flag", 5_600) log)
+
 (* Deadlock: every live processor sleeps, waiting for a message nobody
    sends. The run must end in [Cycle_limit] for the sleeper with the
    least (clock, pid): queued, it would have spun into the limit
@@ -461,6 +572,10 @@ let () =
             test_all_asleep;
           Alcotest.test_case "a global waiter does not sleep" `Quick
             test_global_waiter_wakes;
+          Alcotest.test_case "a queued self waiter resumes once" `Quick
+            test_queued_waiter;
+          Alcotest.test_case "an earlier send moves a queued waiter up" `Quick
+            test_earlier_send;
         ] );
       ( "controlled",
         [
