@@ -23,7 +23,7 @@ type note =
   | False_miss
   | Private_upgrade
 
-module type SUBSTRATE = sig
+module type VIEW = sig
   type t
 
   val pid : t -> int
@@ -31,32 +31,39 @@ module type SUBSTRATE = sig
   val home : t -> int
   val node_of : t -> int -> int
   val node_procs : t -> int list
-  val fault : t -> Config.fault option
   val base : t -> State_table.base
   val set_base : t -> State_table.base -> unit
-  val pending : t -> bool
   val set_pending : t -> bool -> unit
-  val pending_downgrade : t -> bool
-  val set_pending_downgrade : t -> bool -> unit
-  val check_state : t -> State_table.base
   val private_state : t -> int -> State_table.base
   val raise_private : t -> int -> State_table.base -> unit
-  val lower_private : t -> int -> State_table.base -> unit
-  val stamp : t -> unit
-  val snapshot : t -> Bytes.t
   val install : t -> Miss_table.entry -> Bytes.t -> unit
-
-  type write
-
-  val write : t -> write -> unit
   val dir : t -> Directory.entry
   val miss : t -> Miss_table.entry option
   val open_miss : t -> Msg.req_kind -> Miss_table.entry
   val retire : t -> Miss_table.entry -> unit
+  val downgrade : t -> Downgrade.entry option
+  val transmit : t -> int -> Msg.t -> unit
+  val mark : t -> string -> unit
+end
+
+module type SUBSTRATE = sig
+  include VIEW
+
+  val fault : t -> Config.fault option
+  val pending : t -> bool
+  val pending_downgrade : t -> bool
+  val set_pending_downgrade : t -> bool -> unit
+  val check_state : t -> State_table.base
+  val lower_private : t -> int -> State_table.base -> unit
+  val stamp : t -> unit
+  val snapshot : t -> Bytes.t
+
+  type write
+
+  val write : t -> write -> unit
   val store_slot_free : t -> bool
   val record_store : t -> Miss_table.entry -> off:int -> len:int -> unit
   val share_directory : t -> bool
-  val downgrade : t -> Downgrade.entry option
 
   val open_downgrade :
     t ->
@@ -66,11 +73,15 @@ module type SUBSTRATE = sig
     unit
 
   val close_downgrade : t -> Downgrade.entry -> unit
-  val transmit : t -> int -> Msg.t -> unit
   val charge : t -> cost -> unit
   val note : t -> note -> unit
-  val mark : t -> string -> unit
   val violation : t -> string -> 'a
+end
+
+module type RECOVERY_SUBSTRATE = sig
+  include VIEW
+
+  val restore : t -> Bytes.t option -> unit
 end
 
 (* One branch mark per message class, allocated once. *)
@@ -701,4 +712,205 @@ module Make (S : SUBSTRATE) = struct
           `Done
         end
         else `Slot
+end
+
+(* ---------------- Crash recovery ---------------- *)
+
+module Recovery (S : RECOVERY_SUBSTRATE) = struct
+  let affected ~dead ~live ~msgs ~dir v =
+    (* A message serves a dead processor: it came from one, or it names
+       one as the requester to answer or the sharer to record. *)
+    let serves (src, msg) =
+      dead src
+      ||
+      match msg with
+      | Msg.Fwd { requester; _ } | Msg.Invalidate { requester; _ } ->
+        dead requester
+      | Msg.Sharing_wb { new_sharer; _ } -> dead new_sharer
+      | _ -> false
+    in
+    let deferred_dead = function
+      | Downgrade.Reply_read { requester }
+      | Downgrade.Reply_readex { requester; _ }
+      | Downgrade.Inval_done { requester } ->
+        dead requester
+      | Downgrade.Recovered -> false
+    in
+    dead (S.home v)
+    || List.exists (fun (src, dst, msg) -> dead dst || serves (src, msg)) msgs
+    || (match dir with
+       | Some e ->
+         dead e.Directory.owner
+         || List.exists dead (Bitset.elements e.Directory.sharers)
+         || List.exists (fun (src, _) -> dead src) e.Directory.queue
+       | None -> false)
+    || List.exists
+         (fun n ->
+           (match S.downgrade n with
+           | Some de ->
+             deferred_dead de.Downgrade.deferred
+             || List.exists serves de.Downgrade.queued
+           | None -> false)
+           ||
+           match S.miss n with
+           | Some me -> List.exists serves me.Miss_table.queued_fwds
+           | None -> false)
+         live
+
+  let cancels = function Msg.Downgrade _ -> false | _ -> true
+
+  let unsend v = function
+    | Msg.Data_reply { kind = Msg.Readex | Msg.Upgrade; data; _ } ->
+      S.mark v "crash.unsend_data";
+      S.restore v (Some data);
+      S.set_base v State_table.Exclusive;
+      S.raise_private v (S.pid v) State_table.Exclusive
+    | _ -> ()
+
+  (* A node mid-downgrade counts at the state it is committed to reach. *)
+  let effective n =
+    match S.downgrade n with
+    | Some de -> de.Downgrade.target
+    | None -> S.base n
+
+  (* Who stands for a node's copy in the rebuilt directory: the requester
+     of its miss entry, so that the re-issued request finds itself among
+     the sharers, else its highest private holder. *)
+  let representative n =
+    match S.miss n with
+    | Some me -> me.Miss_table.requester
+    | None ->
+      let rank p = State_table.rank (S.private_state n p) in
+      let procs = S.node_procs n in
+      List.fold_left
+        (fun best p -> if rank p > rank best then p else best)
+        (List.hd procs) procs
+
+  (* A surviving transaction restarts: its replies and acknowledgements
+     may have died, and the rebuilt directory regenerates what it still
+     needs. A downgrade completes locally, sending nothing. *)
+  let restart n =
+    (match S.miss n with
+    | None -> ()
+    | Some me ->
+      me.Miss_table.queued_fwds <- [];
+      me.Miss_table.acks_expected <- -1;
+      me.Miss_table.acks_received <- 0;
+      me.Miss_table.inval_after_reply <- false;
+      if me.Miss_table.data_ready then begin
+        (* Only acknowledgements were lost: re-secure ownership with an
+           upgrade, which re-invalidates the sharers through the normal
+           path. *)
+        me.Miss_table.data_ready <- false;
+        me.Miss_table.kind <- Msg.Upgrade;
+        me.Miss_table.upgrade_after_reply <- false;
+        S.set_pending n true
+      end);
+    match S.downgrade n with
+    | None -> ()
+    | Some de ->
+      S.mark n "crash.dg_recovered";
+      de.Downgrade.queued <- [];
+      de.Downgrade.deferred <- Downgrade.Recovered
+
+  let rebuild ~live ~at ~data v =
+    List.iter restart live;
+    let home = S.home v in
+    let on_home n = S.node_of v (S.pid n) = S.node_of v home in
+    let valid =
+      List.filter (fun n -> effective n <> State_table.Invalid) live
+    in
+    let e = S.dir v in
+    e.Directory.busy <- false;
+    e.Directory.queue <- [];
+    let own p =
+      e.Directory.owner <- p;
+      e.Directory.sharers <- Bitset.singleton p
+    in
+    let result, reissue =
+      if valid <> [] then begin
+        S.mark v "crash.rebuild";
+        let first p = List.find_opt p valid in
+        let owner =
+          match first (fun n -> effective n = State_table.Exclusive) with
+          | Some n -> n
+          | None -> Option.value (first on_home) ~default:(List.hd valid)
+        in
+        e.Directory.sharers <- Bitset.of_list (List.map representative valid);
+        e.Directory.owner <- representative owner;
+        (`Rebuilt, live)
+      end
+      else
+        let donor n =
+          match S.downgrade n with
+          | Some de when de.Downgrade.target = State_table.Invalid -> Some de
+          | _ -> None
+        in
+        match List.find_map donor live with
+        | Some de ->
+          (* The only copy is mid-downgrade to Invalid on a survivor, so
+             its bytes are still there: the downgrade's deferred action
+             becomes an exclusive reply to the home node's miss entry,
+             and the ordinary reply and ownership ack finish the
+             transfer. *)
+          S.mark v "crash.rescue";
+          let me =
+            match S.miss v with
+            | Some me ->
+              me.Miss_table.kind <- Msg.Readex;
+              me.Miss_table.data_ready <- false;
+              me.Miss_table.acks_expected <- -1;
+              me.Miss_table.acks_received <- 0;
+              me.Miss_table.upgrade_after_reply <- false;
+              me.Miss_table.inval_after_reply <- false;
+              me
+            | None -> S.open_miss v Msg.Readex
+          in
+          S.set_pending v true;
+          de.Downgrade.deferred <-
+            Downgrade.Reply_readex
+              { requester = me.Miss_table.requester; inval_acks = 0 };
+          own me.Miss_table.requester;
+          e.Directory.busy <- true;
+          (`Rebuilt, List.filter (fun n -> not (on_home n)) live)
+        | None ->
+          (* Every copy died with the node. *)
+          let demand = List.exists (fun n -> S.miss n <> None) live in
+          S.mark v (if demand then "crash.data_loss" else "crash.reinit");
+          let data = data () in
+          if demand && data = None then (`Lost, [])
+          else begin
+            let owner =
+              match (S.miss v, data) with
+              | Some me, Some bytes ->
+                (* Complete the home node's miss locally: stalled
+                   accesses observe [data_ready] through their entry and
+                   re-run their checks against the restored copy. *)
+                S.install v me bytes;
+                me.Miss_table.data_ready <- true;
+                me.Miss_table.acks_expected <- 0;
+                me.Miss_table.acks_received <- 0;
+                S.retire v me;
+                me.Miss_table.requester
+              | _ ->
+                S.restore v data;
+                home
+            in
+            S.set_base v State_table.Exclusive;
+            S.raise_private v owner State_table.Exclusive;
+            S.set_pending v false;
+            own owner;
+            (`Rebuilt, live)
+          end
+    in
+    List.iter
+      (fun n ->
+        match S.miss n with
+        | Some me ->
+          S.mark n "crash.reissue";
+          S.transmit (at me.Miss_table.requester) home
+            (Msg.Req { kind = me.Miss_table.kind; block = S.block v })
+        | None -> ())
+      reissue;
+    result
 end

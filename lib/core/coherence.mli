@@ -58,10 +58,10 @@ type note =
   | False_miss  (** a failed load check found the node's copy valid *)
   | Private_upgrade  (** a miss path raised this processor's private entry *)
 
-module type SUBSTRATE = sig
+module type VIEW = sig
   type t
-  (** The processor handling a message or an access, and the block it
-      concerns. *)
+  (** A processor's view of one block: what the handlers and crash
+      recovery ({!Recovery}) both read and write. *)
 
   val pid : t -> int
   val block : t -> int
@@ -73,49 +73,23 @@ module type SUBSTRATE = sig
   val node_procs : t -> int list
   (** The processors of this processor's node, ascending. *)
 
-  val fault : t -> Config.fault option
-
   (** {2 The node's shared table entry} *)
 
   val base : t -> Shasta_mem.State_table.base
   val set_base : t -> Shasta_mem.State_table.base -> unit
-  val pending : t -> bool
   val set_pending : t -> bool -> unit
-  val pending_downgrade : t -> bool
-  val set_pending_downgrade : t -> bool -> unit
 
   (** {2 Private table entries of the node's processors} *)
-
-  val check_state : t -> Shasta_mem.State_table.base
-  (** The entry this processor's inline check reads: its private entry
-      under SMP, the node entry under Base. *)
 
   val private_state : t -> int -> Shasta_mem.State_table.base
   val raise_private : t -> int -> Shasta_mem.State_table.base -> unit
   (** Raise processor [q]'s entry to the state; never lowers it. *)
 
-  val lower_private : t -> int -> Shasta_mem.State_table.base -> unit
-  (** Lower processor [q]'s entry to the state; never raises it. *)
-
-  (** {2 Data} *)
-
-  val stamp : t -> unit
-  (** Write the invalid-flag pattern over the node's copy. *)
-
-  val snapshot : t -> Bytes.t
-  (** The node's copy, for a data reply. *)
+  (** {2 Data and entries} *)
 
   val install : t -> Miss_table.entry -> Bytes.t -> unit
   (** Write reply data into the node's copy around the entry's merged
       stores. *)
-
-  type write
-  (** What a store writes. *)
-
-  val write : t -> write -> unit
-  (** Apply a store to the node's copy. *)
-
-  (** {2 Entries} *)
 
   val dir : t -> Directory.entry
   (** The block's directory entry at its home. *)
@@ -123,10 +97,49 @@ module type SUBSTRATE = sig
   val miss : t -> Miss_table.entry option
 
   val open_miss : t -> Msg.req_kind -> Miss_table.entry
-  (** Add a miss entry for the block; none is outstanding. *)
+  (** Add a miss entry for the block, requested by this processor; none
+      is outstanding. *)
 
   val retire : t -> Miss_table.entry -> unit
   (** Remove a completed miss entry. *)
+
+  val downgrade : t -> Downgrade.entry option
+
+  (** {2 Effects} *)
+
+  val transmit : t -> int -> Msg.t -> unit
+  (** Send to another processor, or queue a message to this one. *)
+
+  val mark : t -> string -> unit
+  (** A named branch was taken (the model's coverage report). *)
+end
+
+module type SUBSTRATE = sig
+  include VIEW
+
+  val fault : t -> Config.fault option
+  val pending : t -> bool
+  val pending_downgrade : t -> bool
+  val set_pending_downgrade : t -> bool -> unit
+
+  val check_state : t -> Shasta_mem.State_table.base
+  (** The entry this processor's inline check reads: its private entry
+      under SMP, the node entry under Base. *)
+
+  val lower_private : t -> int -> Shasta_mem.State_table.base -> unit
+  (** Lower processor [q]'s entry to the state; never raises it. *)
+
+  val stamp : t -> unit
+  (** Write the invalid-flag pattern over the node's copy. *)
+
+  val snapshot : t -> Bytes.t
+  (** The node's copy, for a data reply. *)
+
+  type write
+  (** What a store writes. *)
+
+  val write : t -> write -> unit
+  (** Apply a store to the node's copy. *)
 
   val store_slot_free : t -> bool
   (** Whether this processor may add an outstanding store. *)
@@ -139,8 +152,6 @@ module type SUBSTRATE = sig
   (** The share_directory extension: a processor on the home's node
       runs the directory service itself instead of messaging the home. *)
 
-  val downgrade : t -> Downgrade.entry option
-
   val open_downgrade :
     t ->
     target:Shasta_mem.State_table.base ->
@@ -149,17 +160,8 @@ module type SUBSTRATE = sig
     unit
 
   val close_downgrade : t -> Downgrade.entry -> unit
-
-  (** {2 Effects} *)
-
-  val transmit : t -> int -> Msg.t -> unit
-  (** Send to another processor. *)
-
   val charge : t -> cost -> unit
   val note : t -> note -> unit
-
-  val mark : t -> string -> unit
-  (** A named branch was taken (the model's coverage report). *)
 
   val violation : t -> string -> 'a
   (** An impossible configuration was reached. *)
@@ -193,4 +195,84 @@ module Make (S : SUBSTRATE) : sig
       merge it). Otherwise wait for the block's entry to retire or for
       a free store slot, then retry. A store that opens an entry lands
       before its request goes out. *)
+end
+
+(** {1 Crash recovery}
+
+    The per-block decisions of node-crash recovery, written once as a
+    second functor. [Shasta_recover.Recover] runs them over the
+    simulated machine and [Shasta_verify.Model] over its abstract
+    state, so the model checker explores the recovery that a simulated
+    crash runs. What a crash does beyond one block (killing the node's
+    processors, purging its traffic, scrubbing it, re-homing, lock and
+    barrier surgery) stays with the caller. *)
+
+module type RECOVERY_SUBSTRATE = sig
+  include VIEW
+
+  val restore : t -> Bytes.t option -> unit
+  (** Write recovered bytes over the node's whole copy; [None]
+      re-initializes it zeroed, as at allocation. *)
+end
+
+module Recovery (S : RECOVERY_SUBSTRATE) : sig
+  val affected :
+    dead:(int -> bool) ->
+    live:S.t list ->
+    msgs:(int * int * Msg.t) list ->
+    dir:Directory.entry option ->
+    S.t ->
+    bool
+  (** Whether a crash that killed the processors [dead] affects the
+      block, given a view of its home before re-homing: its home died; a
+      message about it in flight at the crash ([msgs], as (source,
+      destination, message)) has a dead endpoint or names a dead
+      requester or new sharer; its directory entry, if it has one, names
+      a dead owner, sharer or queued requester; or a downgrade or miss
+      entry of a surviving node ([live], one view per node) serves or
+      queues a dead processor. Recovery leaves every other block
+      untouched. *)
+
+  val cancels : Msg.t -> bool
+  (** Whether recovery cancels an in-flight message about an affected
+      block: every one but an intra-node [Downgrade], whose countdown a
+      surviving downgrade entry still needs. The rebuild regenerates the
+      rest. *)
+
+  val unsend : S.t -> Msg.t -> unit
+  (** Undo a cancelled message at its sender. An exclusive data reply
+      carried the sender's copy (the sender stamped its own when it sent
+      it), so the bytes are restored there and the sender becomes the
+      block's Exclusive owner. *)
+
+  val rebuild :
+    live:S.t list ->
+    at:(int -> S.t) ->
+    data:(unit -> Bytes.t option) ->
+    S.t ->
+    [ `Rebuilt | `Lost ]
+  (** Rebuild an affected block at its (re-homed) home, given the home's
+      view, after the cancellations. [live] has one view per surviving
+      node, ascending; [at p] is processor [p]'s view.
+      - Each surviving miss entry restarts as "request sent, nothing
+        received": queued forwards and acknowledgement counts are
+        dropped, and an entry whose data had arrived becomes an
+        [Upgrade]. Each surviving downgrade will complete locally
+        ([Recovered]).
+      - The directory entry is rebuilt from the survivors' effective
+        states (a node mid-downgrade counts at its target). A node is
+        represented by its miss entry's requester, else by its highest
+        private holder (lowest pid on ties). The sharers are the valid
+        nodes' representatives, and the owner is the Exclusive node's,
+        else the home node's, else the first valid node's.
+      - With no valid copy left, a survivor mid-downgrade to Invalid
+        still holds the bytes: its deferred action becomes an exclusive
+        reply to the home node's miss entry, which the home opens if
+        there is none. Otherwise every copy died. [data ()] (a
+        checkpoint's bytes, read only then) restores the block Exclusive
+        at the home, completing the home node's miss entry. With no data
+        the block is re-initialized zeroed, unless a surviving node has a
+        miss outstanding for it: then the result is [`Lost].
+      - Last, each miss entry still open re-requests the block from the
+        home: a queued send from its requester, never handled inline. *)
 end

@@ -1,4 +1,5 @@
 module Image = Shasta_mem.Image
+module Network = Shasta_net.Network
 module Machine = Shasta_core.Machine
 module Msg = Shasta_core.Msg
 module Observer = Shasta_core.Observer
@@ -13,7 +14,10 @@ module Directory = Shasta_core.Directory
 
    The data bytes of a block whose last copy died are restored from the
    snapshot copy of its then-owner, superseded by the payload of the
-   newest [Data_reply] for the block in the log. *)
+   newest [Data_reply] for the block in the log. The snapshot does not
+   record the network, so each log starts with the data replies in
+   flight when it was taken: a reply's sender has already stamped its
+   own copy, so its bytes are in no node image. *)
 
 type snap = {
   sn_data : (int * Bytes.t) list array;
@@ -46,6 +50,20 @@ let snapshot m =
         blocks;
   }
 
+(* The data replies queued in the network, newest first. *)
+let in_flight_replies m =
+  let acc = ref [] in
+  for dst = 0 to m.Machine.cfg.Shasta_core.Config.nprocs - 1 do
+    Network.iter_queued m.Machine.net ~dst (fun ~src ~arrival msg ->
+        match msg with
+        | Msg.Data_reply _ -> acc := (arrival, src, dst, msg) :: !acc
+        | _ -> ())
+  done;
+  List.sort
+    (fun (a, s, d, _) (a', s', d', _) -> compare (a', s', d') (a, s, d))
+    !acc
+  |> List.map (fun (_, src, dst, msg) -> (src, dst, msg))
+
 (* ------------------------------------------------------------------ *)
 (* The running checkpointer. *)
 
@@ -66,7 +84,7 @@ let observer t =
         t.log <- (src, dst, msg) :: t.log;
         if now - t.last_cycle >= t.interval then begin
           t.snap <- snapshot t.m;
-          t.log <- [];
+          t.log <- in_flight_replies t.m;
           t.last_cycle <- now;
           t.snapshots <- t.snapshots + 1
         end);
@@ -79,7 +97,14 @@ let observer t =
 let attach m ~interval =
   if interval <= 0 then invalid_arg "Checkpoint.attach: interval must be positive";
   let t =
-    { m; interval; last_cycle = 0; snap = snapshot m; log = []; snapshots = 1 }
+    {
+      m;
+      interval;
+      last_cycle = 0;
+      snap = snapshot m;
+      log = in_flight_replies m;
+      snapshots = 1;
+    }
   in
   Machine.add_observer m (observer t);
   t
@@ -87,9 +112,10 @@ let attach m ~interval =
 let snapshots t = t.snapshots
 
 (* The contract: a lost block holds the bytes of the newest [Data_reply]
-   for it logged since the snapshot (the freshest copy that left a
-   node), else the snapshot copy of the block's then-owner node. The log
-   is newest-first, so the first match is the newest. *)
+   for it logged since the snapshot or in flight at it (the freshest
+   copy that left a node), else the snapshot copy of the block's
+   then-owner node. The log is newest-first, so the first match is the
+   newest. *)
 let recover_data t ~block =
   let logged =
     List.find_map

@@ -3,7 +3,8 @@
     A checkpointer snapshots every node's copy of each block and the
     block's directory owner, and logs every message sent since the
     snapshot, re-snapshotting when the configured interval of virtual
-    cycles has elapsed. Both piggyback on the
+    cycles has elapsed. Each log starts with the data replies in flight
+    at its snapshot. Both piggyback on the
     {!Shasta_core.Observer.on_send} hook: they charge no simulated
     cycles, and with checkpointing off no observer is installed, so
     simulated time is bit-identical.
@@ -26,6 +27,8 @@ val snapshots : t -> int
 
 val recover_data : t -> block:int -> Bytes.t option
 (** Recoverable bytes for a block. The contract: a lost block holds the
-    payload of the newest data reply for it logged since the snapshot,
+    payload of the newest data reply for it logged since the snapshot
+    or in flight at it (the snapshot records node copies, not the
+    network, and a reply's sender has already stamped its own copy),
     else the snapshot copy of its then-owner node. [None] only for a
     block unknown to the snapshot. *)

@@ -5,20 +5,26 @@
     (continuations dropped where they stand, in-flight messages to and
     from the node discarded) and then repairs the survivors so the run
     can resume: dead-homed blocks are re-homed to the next live
-    processor and their directory entries reconstructed from the
-    surviving sharers' states; a block whose every copy died is restored
-    from a checkpoint and its message log if one is attached ({!mode}
-    [Ckpt]); miss entries whose replies died are reset and their
-    requests re-injected; a block whose only copy was
-    mid-downgrade to invalid on a survivor is rescued from that node's
-    still-present bytes; stranded lock and barrier waiters are re-issued
-    or re-granted (manager state is global and survives — a dead
-    manager only loses messages, and managers fail over by id).
+    processor, and stranded lock and barrier waiters are re-issued or
+    re-granted (manager state is global and survives — a dead manager
+    only loses messages, and managers fail over by id). Each block the
+    crash affects is rebuilt by {!Shasta_core.Coherence.Recovery}, the
+    per-block decisions the model checker explores too: miss entries
+    whose replies died are reset and their requests re-injected, the
+    directory entry is reconstructed from the surviving copies, a block
+    whose only copy was mid-downgrade to invalid on a survivor is
+    rescued from that node's still-present bytes, and a block whose
+    every copy died is restored or re-initialized.
 
-    Recovery is exact about what it cannot do: if every copy of a
-    block's data died with the node, no checkpoint covers it, and a live
-    processor is waiting on it, it raises {!Recovery_violation}
-    ([Data_loss]) rather than fabricate bytes. *)
+    What a recovered block holds: the bytes of a copy that survives on a
+    live node, or in a survivor's downgrade still under way. A block
+    whose every copy died holds, under [Pull], zeros, as at allocation,
+    and only when no live processor has a demand miss outstanding for
+    it; otherwise recovery raises {!Recovery_violation} ([Data_loss])
+    rather than fabricate bytes. Under [Ckpt] it holds the newest data
+    reply for it logged since the checkpoint's snapshot or in flight at
+    it, else the snapshot copy of its then-owner
+    ({!Checkpoint.recover_data}). *)
 
 type kind =
   | Data_loss of { block : int }

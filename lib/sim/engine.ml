@@ -68,7 +68,6 @@ and shared = {
       (* The run queue: [heap.(0 .. queued - 1)] is a binary min-heap of
          pids on (key, pid) (see [Runq]). *)
   run_ahead : bool;
-  parking : bool;
 }
 
 type sites = { poll : int; group : int; self : int; global : int }
@@ -284,7 +283,7 @@ let far = max_int / 4
    record. The horizon starts in the past — the always-yield setting,
    which [run_controlled] and [run ~run_ahead:false] keep throughout and
    [run] overwrites at every resume. *)
-let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
+let make_tasks ~nprocs ~max_cycles ~run_ahead ~arrivals ~lookahead =
   assert (
     nprocs > 0
     && Array.length lookahead = nprocs * nprocs
@@ -315,7 +314,6 @@ let make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead =
       heap = Array.make nprocs 0;
       queued = 0;
       run_ahead;
-      parking;
     }
   in
   r.tasks <-
@@ -372,7 +370,7 @@ let frozen_term r q =
 
 let touch p =
   let r = p.p_run in
-  if r.parking then begin
+  if r.run_ahead then begin
     let m = r.members.(p.p_group) in
     for k = 0 to Array.length m - 1 do
       let q = r.tasks.(m.(k)) in
@@ -582,13 +580,12 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
     if Array.length arrivals > 0 then arrivals else Array.make nprocs max_int
   in
   let has_events = events <> [] in
-  (* Processors park (and so may be frozen) only under run-ahead and
-     with no crash event scheduled: a kill or a recovery changes state
-     outside the wake rules. *)
-  let parking = run_ahead && not has_events in
-  let tasks =
-    make_tasks ~nprocs ~max_cycles ~run_ahead ~parking ~arrivals ~lookahead
-  in
+  (* A run with events is always-yield. Run-ahead would let processors
+     execute past an event's time before the processor whose resume
+     fires it is picked, and a kill or a recovery changes state outside
+     the wake rules. *)
+  let run_ahead = run_ahead && not has_events in
+  let tasks = make_tasks ~nprocs ~max_cycles ~run_ahead ~arrivals ~lookahead in
   let r = tasks.(0).p_run in
   let fire_due = event_pump tasks events in
   Array.iter (fun p -> Runq.push r p.p_id) tasks;
@@ -639,7 +636,7 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
             let i = scope_index p.p_scope in
             r.wait_ends.(i) <- r.wait_ends.(i) + 1
           end;
-          if parking && ends_wait then begin
+          if run_ahead && ends_wait then begin
             p.p_parked <- true;
             p.p_frozen <- true;
             let t = frozen_term r p in
@@ -704,7 +701,7 @@ let run ~nprocs ?(max_cycles = 2_000_000_000) ?(run_ahead = true)
 let run_controlled ~nprocs ?(max_cycles = 2_000_000_000) ?(events = []) ~choose
     body =
   let tasks =
-    make_tasks ~nprocs ~max_cycles ~run_ahead:false ~parking:false
+    make_tasks ~nprocs ~max_cycles ~run_ahead:false
       ~arrivals:(Array.make nprocs max_int)
       ~lookahead:(Array.make (nprocs * nprocs) 0)
   in

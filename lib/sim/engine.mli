@@ -92,7 +92,9 @@ val run :
     run; the orphaned fiber is reclaimed by the GC), and [now], the
     clock of the about-to-run processor. [kill] raises
     [Invalid_argument] on an out-of-range pid and is a no-op on an
-    already-finished one. With no events (the default) the run is
+    already-finished one. A run with events is always-yield, whatever
+    [run_ahead] says: run-ahead would let processors execute past [at]
+    before the event fires. With no events (the default) the run is
     bit-identical to previous behaviour.
 
     [run_ahead] (default [true]): when false, every scheduling point
@@ -118,7 +120,7 @@ val run :
     entry may be earlier than the true earliest arrival, never later.
     When the running processor queues a message for another, it must
     call {!sent} after updating the entry (a crash event's callback
-    need not: parking is off when [events] are scheduled).
+    need not: a run with [events] is always-yield).
 
     [lookahead] is a flat [nprocs * nprocs] matrix; entry
     [p * nprocs + q] is a lower bound on the virtual-time delay before
@@ -246,8 +248,8 @@ val idle_skip : ?scope:scope -> proc -> quantum:int -> int
     switch, a lock, barrier or miss-requester waiter stops leapfrogging
     its running siblings, and a self-woken waiter costs at most two
     resumes per message it handles.
-    Parking is off under [run ~run_ahead:false], {!run_controlled} and
-    when [events] are scheduled. *)
+    Parking is off in every always-yield run: [run ~run_ahead:false],
+    {!run_controlled} and any run with [events]. *)
 
 val touch : proc -> unit
 (** [touch p] records that [p] may have changed state its group reads,

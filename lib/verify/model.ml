@@ -1,8 +1,9 @@
 (* Abstract model of the per-block coherence protocol.
 
-   The message handlers and the miss paths are not written here:
-   [Coherence.Make] is the code the simulator runs, instantiated below
-   over an abstract state specialized to the litmus geometry (2
+   The message handlers, the miss paths and crash recovery's per-block
+   decisions are not written here: [Coherence.Make] and
+   [Coherence.Recovery] are the code the simulator runs, instantiated
+   below over an abstract state specialized to the litmus geometry (2
    coherence nodes x 2 processors, SMP variant, one block,
    share_directory off). Data content is abstracted to one bit per node
    copy — [stamped], true iff the copy holds the invalid-flag pattern,
@@ -12,8 +13,9 @@
    exploration collects.
 
    What stays here is model-specific: the abstract state and its copy,
-   the two inline checks, the crash transition, the delivery rule, the
-   invariants and the branch lists.
+   the two inline checks, the fail-stop half of a crash (scrubbing the
+   dead node and its in-flight messages, re-homing), the delivery rule,
+   the invariants and the branch lists.
 
    Exhaustive exploration of this model is what makes it useful: the
    simulator's litmus explorer judges only delay-bounded schedules it
@@ -104,25 +106,6 @@ let copy_state s =
     net = s.net;
     s_home = s.s_home;
     s_dead = s.s_dead;
-  }
-
-(* A miss entry stripped of what the model does not track: the entry's
-   identity, requester, start time and merged store ranges. *)
-let new_entry kind =
-  {
-    Miss_table.id = 0;
-    block;
-    requester = 0;
-    start_cycles = 0;
-    kind;
-    data_ready = false;
-    acks_expected = -1;
-    acks_received = 0;
-    store_ranges = [];
-    store_procs = Bitset.empty;
-    upgrade_after_reply = false;
-    inval_after_reply = false;
-    queued_fwds = [];
   }
 
 let initial ~home =
@@ -288,6 +271,7 @@ module Substrate = struct
 
   let snapshot _ = payload
   let install v _ _ = (nd v.m v.p).stamped <- false
+  let restore v _ = (nd v.m v.p).stamped <- false
 
   (* A store writes the one checked word. *)
   type write = unit
@@ -299,8 +283,26 @@ module Substrate = struct
     v.m.st.dir
   let miss v = (nd v.m v.p).miss
 
+  (* An entry records its requester and kind; the model does not track
+     the entry's identity, start time or merged stores. *)
   let open_miss v kind =
-    let e = new_entry kind in
+    let e =
+      {
+        Miss_table.id = 0;
+        block;
+        requester = v.p;
+        start_cycles = 0;
+        kind;
+        data_ready = false;
+        acks_expected = -1;
+        acks_received = 0;
+        store_ranges = [];
+        store_procs = Bitset.empty;
+        upgrade_after_reply = false;
+        inval_after_reply = false;
+        queued_fwds = [];
+      }
+    in
     (nd v.m v.p).miss <- Some e;
     e
 
@@ -378,205 +380,63 @@ let do_store t p =
   else ignore (Handlers.store_miss { m = t; p } ~off:0 ~len:8 ())
 
 (* ------------------------------------------------------------------ *)
-(* Node crash and recovery: the abstract mirror of Recover.rebuild,
-   specialized to the 2-node geometry. After one crash exactly one node
+(* Node crash and recovery. The per-block decisions are Coherence's
+   [Recovery], the code Recover.rebuild runs; what is written here is the
+   fail-stop over the abstract state. After one crash exactly one node
    survives, so re-homed blocks and rebuilt directories always land on
    it, and a second crash is never enabled (the last live node may not
-   die). The transition is atomic — fail-stop plus the whole rebuild in
-   one step — mirroring the engine, which runs the recovery callback
-   between scheduling points; the self-destined sends it performs are
-   therefore safe to inline. *)
+   die). The transition is atomic, as the engine runs the recovery
+   callback between scheduling points. Recovery here has checkpoint
+   data: a block whose every copy died is restored (content is one
+   abstract bit either way), so sharer-pull recovery's typed Data_loss
+   is left to the concrete crash tests. *)
 
-(* The surviving node's representative: the live pid with the highest
-   private rank, lowest pid on ties — the pid Recover.rebuild elects to
-   stand for the node's copy in the rebuilt directory and as the
-   re-issuer of its outstanding miss. *)
-let crash_rep t n' =
-  List.fold_left
-    (fun best p -> if rank t.st.priv.(p) > rank t.st.priv.(best) then p else best)
-    (2 * n') (procs_of_node n')
-
-let msg_requester = function
-  | Msg.Fwd { requester; _ } | Msg.Invalidate { requester; _ } -> Some requester
-  | _ -> None
+module Recovery = Shasta_core.Coherence.Recovery (Substrate)
 
 let do_crash t n =
   hit t "crash.kill";
   let st = t.st in
-  let n' = 1 - n in
-  let dead_pid p = node_of p = n in
-  let dn = st.nodes.(n) and ln = st.nodes.(n') in
-  let d = st.dir in
-  let dead_had_state =
-    dn.nbase <> St.Invalid || dn.pending || dn.pdg || dn.miss <> None
-    || dn.down <> None
-    || List.exists (fun p -> st.priv.(p) <> St.Invalid) (procs_of_node n)
+  let dead p = node_of p = n in
+  let view p = { m = t; p } in
+  let live = [ view (2 * (1 - n)) ] in
+  let affected =
+    Recovery.affected ~dead ~live ~msgs:st.net ~dir:(Some st.dir)
+      (view st.s_home)
   in
-  (* Fail-stop: in-flight messages with a dead endpoint vanish. *)
-  let harvested, kept =
-    List.partition (fun (s, dst, _) -> dead_pid s || dead_pid dst) st.net
-  in
-  st.net <- kept;
+  (* Fail-stop: in-flight messages with a dead endpoint vanish, and the
+     node no longer exists: Invalid, flag-stamped, no transients. *)
+  st.net <- List.filter (fun (s, d, _) -> not (dead s || dead d)) st.net;
   st.s_dead <- st.s_dead lor (1 lsl n);
-  (* Scrub the dead node: tables Invalid, copies flag-stamped,
-     transients cleared — the node no longer exists. *)
-  dn.nbase <- St.Invalid;
-  dn.pending <- false;
-  dn.pdg <- false;
-  dn.stamped <- true;
-  dn.miss <- None;
-  dn.down <- None;
+  st.nodes.(n) <-
+    {
+      nbase = St.Invalid;
+      pending = false;
+      pdg = false;
+      stamped = true;
+      miss = None;
+      down = None;
+    };
   List.iter (fun p -> st.priv.(p) <- St.Invalid) (procs_of_node n);
   (* A dead-homed block re-homes to the surviving node. *)
-  let home_died = node_of st.s_home = n in
-  if home_died then begin
+  if dead st.s_home then begin
     hit t "crash.rehome";
-    st.s_home <- 2 * n'
+    st.s_home <- 2 * (1 - n)
   end;
-  let refs_dead (src, m) =
-    dead_pid src
-    || match msg_requester m with Some r -> dead_pid r | None -> false
-  in
-  let dir_refs_dead =
-    dead_pid d.Directory.owner
-    || List.exists dead_pid (Bitset.elements d.Directory.sharers)
-    || List.exists (fun (src, _) -> dead_pid src) d.Directory.queue
-  in
-  let deferred_refs_dead = function
-    | Downgrade.Reply_read { requester }
-    | Downgrade.Reply_readex { requester; _ }
-    | Downgrade.Inval_done { requester } ->
-      dead_pid requester
-    | Downgrade.Recovered -> false
-  in
-  let dg_refs_dead =
-    match ln.down with
-    | Some dg ->
-      deferred_refs_dead dg.Downgrade.deferred
-      || List.exists refs_dead dg.Downgrade.queued
-    | None -> false
-  in
-  let entry_refs_dead =
-    match ln.miss with
-    | Some e -> List.exists refs_dead e.Miss_table.queued_fwds
-    | None -> false
-  in
-  let live_msg_refs_dead =
-    List.exists (fun (_, _, m) -> refs_dead (nprocs, m)) st.net
-  in
-  let affected =
-    home_died || dead_had_state || harvested <> [] || dir_refs_dead
-    || dg_refs_dead || entry_refs_dead || live_msg_refs_dead
-  in
   if not affected then hit t "crash.unaffected"
   else begin
-    (* Cancel the survivors' in-flight messages about the block — they
-       belong to transactions the rebuild restarts — except Downgrades,
-       whose completion the owner's down entry is counting on. A
-       cancelled ownership-transferring data reply is un-sent: the bytes
-       exist only in that message (the sender downgraded to Invalid just
-       before sending), so the sender's copy is restored. *)
     let cancelled, kept =
-      List.partition
-        (fun (_, _, m) -> match m with Msg.Downgrade _ -> false | _ -> true)
-        st.net
+      List.partition (fun (_, _, m) -> Recovery.cancels m) st.net
     in
     st.net <- kept;
     if cancelled <> [] then hit t "crash.cancel";
-    List.iter
-      (fun (s, _, m) ->
-        match m with
-        | Msg.Data_reply { kind = Msg.Readex | Msg.Upgrade; _ } ->
-          hit t "crash.unsend_data";
-          let sn = st.nodes.(node_of s) in
-          sn.stamped <- false;
-          sn.nbase <- St.Exclusive;
-          st.priv.(s) <- St.Exclusive
-        | _ -> ())
-      cancelled;
-    (* A surviving in-progress downgrade completes locally: its queued
-       messages were cancelled above and its deferred action served a
-       transaction that is being restarted. *)
-    (match ln.down with
-    | Some dg ->
-      hit t "crash.dg_recovered";
-      dg.Downgrade.queued <- [];
-      dg.Downgrade.deferred <- Downgrade.Recovered
-    | None -> ());
-    (* Rebuild the directory entry from the survivor's state. *)
-    let rp = crash_rep t n' in
-    d.Directory.queue <- [];
-    d.Directory.busy <- false;
-    d.Directory.owner <- rp;
-    d.Directory.sharers <- Bitset.singleton rp;
-    let eff =
-      match ln.down with Some dg -> dg.Downgrade.target | None -> ln.nbase
-    in
-    let rescued = ref false in
-    if eff <> St.Invalid then hit t "crash.rebuild"
-    else begin
-      match ln.down with
-      | Some dg ->
-        (* The block's only copy is mid-downgrade to Invalid on the
-           survivor: its bytes are still present until the downgrade
-           completes, so redirect the deferred reply at the survivor
-           itself — the normal Reply_readex path then re-delivers
-           ownership (and its Own_ack clears the busy bit). *)
-        hit t "crash.rescue";
-        rescued := true;
-        ln.miss <- Some (new_entry Msg.Readex);
-        ln.pending <- true;
-        dg.Downgrade.deferred <-
-          Downgrade.Reply_readex { requester = rp; inval_acks = 0 };
-        d.Directory.busy <- true
-      | None -> (
-        (* Every copy of the block died with the node. *)
-        match ln.miss with
-        | Some e ->
-          (* A live demand miss is outstanding: mirror the
-             checkpoint-restore path — the data is restored from the
-             checkpoint plus log and the miss completes locally. (The
-             sharer-pull mode raises Recovery_violation (Data_loss)
-             here; that typed failure is exercised by the concrete
-             crash tests, not modeled as a transition.) *)
-          hit t "crash.data_loss";
-          let ns =
-            match e.Miss_table.kind with
-            | Msg.Read when not e.Miss_table.upgrade_after_reply -> St.Shared
-            | _ -> St.Exclusive
-          in
-          ln.stamped <- false;
-          ln.nbase <- ns;
-          ln.pending <- false;
-          ln.miss <- None;
-          st.priv.(rp) <- ns
-        | None ->
-          (* No live demand: re-initialize a zeroed Exclusive copy at
-             the (new) home, as sharer-pull recovery does. *)
-          hit t "crash.reinit";
-          ln.stamped <- false;
-          ln.nbase <- St.Exclusive)
-    end;
-    (* Re-issue the survivor's outstanding miss — last, once the
-       directory is consistent, because a self-destined Req runs its
-       handler inline. *)
-    if not !rescued then
-      match ln.miss with
-      | Some e ->
-        hit t "crash.reissue";
-        e.Miss_table.queued_fwds <- [];
-        e.Miss_table.acks_received <- 0;
-        if e.Miss_table.data_ready then begin
-          (* The data already arrived; only acknowledgements died.
-             Re-secure ownership with a fresh upgrade transaction. *)
-          e.Miss_table.data_ready <- false;
-          e.Miss_table.kind <- Msg.Upgrade
-        end;
-        e.Miss_table.acks_expected <- -1;
-        ln.pending <- true;
-        Handlers.send { m = t; p = rp } (home t)
-          (Msg.Req { kind = e.Miss_table.kind; block })
-      | None -> ()
+    List.iter (fun (s, _, m) -> Recovery.unsend (view s) m) cancelled;
+    match
+      Recovery.rebuild ~live ~at:view
+        ~data:(fun () -> Some payload)
+        (view st.s_home)
+    with
+    | `Rebuilt -> ()
+    | `Lost -> violation "recovery with checkpoint data lost the block"
   end
 
 (* ------------------------------------------------------------------ *)
@@ -713,6 +573,11 @@ let check_invariants st =
              (base_name pv)
              (base_name st.nodes.(node_of p).nbase)))
     st.priv;
+  (* The network drops a dead processor's traffic, so a message to or
+     from one strands whoever waits for its answer. *)
+  let dead p = st.s_dead land (1 lsl node_of p) <> 0 in
+  if List.exists (fun (s, d, _) -> dead s || dead d) st.net then
+    push "message to or from a dead node";
   List.rev !bad
 
 (* ------------------------------------------------------------------ *)

@@ -2,11 +2,13 @@
     own handlers and miss paths ({!Shasta_core.Coherence.Make}) run
     over an abstract state specialized to the litmus geometry (2
     coherence nodes x 2 processors, SMP variant, one block) with data
-    abstracted to one invalid-flag bit per node copy. This module adds
-    only what is model-specific: that state, the inline checks of the
-    load and store (the copy's flag bit and private Exclusive; what
-    follows a failed check is {!Shasta_core.Coherence}'s), the crash
-    transition, the delivery rule, the invariants and the branch lists.
+    abstracted to one invalid-flag bit per node copy. A crash runs
+    recovery's own per-block decisions
+    ({!Shasta_core.Coherence.Recovery}). This module adds only what is
+    model-specific: that state, the inline checks of the load and store
+    (the copy's flag bit and private Exclusive; what follows a failed
+    check is {!Shasta_core.Coherence}'s), the fail-stop half of a crash,
+    the delivery rule, the invariants and the branch lists.
     {!Reach} enumerates its complete reachable state space under a
     channel bound; {!Conform} checks that real runs stay inside its
     label set. *)
@@ -109,7 +111,8 @@ val check_invariants : state -> string list
 (** The {!Shasta_core.Inspect} sweep over the abstract state:
     single-Exclusive, exclusive-implies-rest-invalid, some-valid-copy,
     pending<->miss, pdg<->downgrade-entry, invalid-implies-stamped
-    (settled states only), private-never-overstates-node. *)
+    (settled states only), private-never-overstates-node, and after a
+    crash no message to or from the dead node. *)
 
 (** {1 Coverage} *)
 

@@ -35,6 +35,10 @@ module Prng = Shasta_util.Prng
 module Image = Shasta_mem.Image
 module Layout = Shasta_mem.Layout
 module State_table = Shasta_mem.State_table
+module Network = Shasta_net.Network
+module Bitset = Shasta_util.Bitset
+module Directory = Shasta_core.Directory
+module Miss_table = Shasta_core.Miss_table
 
 let default_choose (cands : int array) = cands.(0)
 
@@ -499,6 +503,264 @@ let test_recover_data_newest () =
     Alcotest.(check int) "the newest logged reply's value" 11
       (Int64.to_int (Bytes.get_int64_le bytes 0))
 
+(* The contract read back through the protocol. A 16-byte block homed
+   at processor 0 holds 7 in word 0; processor 1's store to word 1
+   fetches it, and the home stamps its own copy as its data reply
+   leaves. A checkpoint taken every cycle snapshots at that very send.
+   Node 0 dies while the reply is in flight, so every copy of the block
+   dies with it: processor 1, now the block's home, must read 7 back
+   under [Ckpt], and sharer-pull recovery must raise the typed
+   [Data_loss]. *)
+let base3 () =
+  Config.create ~variant:Config.Base ~nprocs:3 ~procs_per_node:1
+    ~heap_bytes:(64 * 1024) ~sanitize:1 ()
+
+let read_back_instance () =
+  let h = Dsm.create (base3 ()) in
+  let x = Dsm.alloc h ~home:0 16 in
+  Dsm.poke_int h x 7;
+  let got = ref (-1) in
+  let body ctx =
+    if Dsm.pid ctx = 1 then begin
+      Dsm.store_int ctx (x + 8) 5;
+      got := Dsm.load_int ctx x
+    end
+  in
+  (h, x, body, got)
+
+let test_recover_data_read_back () =
+  (* dry run: when the home's data reply leaves, and when it lands *)
+  let h, x, body, _ = read_back_instance () in
+  let sent = ref (-1) and landed = ref (-1) in
+  Dsm.add_observer h
+    {
+      Observer.nil with
+      Observer.on_send =
+        (fun ~src ~dst:_ ~now msg ->
+          match msg with
+          | Msg.Data_reply { block; _ } when src = 0 && block = x -> sent := now
+          | _ -> ());
+      on_recv =
+        (fun ~src ~dst:_ ~now msg ->
+          match msg with
+          | Msg.Data_reply { block; _ } when src = 0 && block = x ->
+            landed := now
+          | _ -> ());
+    };
+  Dsm.run_controlled ~choose:default_choose h body;
+  Alcotest.(check bool) "the home's data reply was harvested" true (!sent > 0);
+  List.iter
+    (fun off ->
+      let at = !sent + off in
+      Alcotest.(check bool)
+        (Printf.sprintf "crash at %d lands while the reply is in flight" at)
+        true (at < !landed);
+      let h, x, body, got = read_back_instance () in
+      let ckpt = Checkpoint.attach (Dsm.machine h) ~interval:1 in
+      Dsm.run_controlled ~choose:default_choose
+        ~events:[ Crash.with_checkpoint h ~node:0 ~at ~ckpt ]
+        h body;
+      Alcotest.(check int)
+        (Printf.sprintf "ckpt crash at %d reads back" at)
+        7 !got;
+      let m = Dsm.machine h in
+      Alcotest.(check bool)
+        (Printf.sprintf "ckpt crash at %d: processor 1 holds it Exclusive" at)
+        true
+        (State_table.get m.Machine.nodes.(1).Machine.table
+           (Layout.line_of m.Machine.layout x)
+        = State_table.Exclusive);
+      let h, _, body, _ = read_back_instance () in
+      match
+        Dsm.run_controlled ~choose:default_choose
+          ~events:[ Crash.kill h ~node:0 ~at ]
+          h body
+      with
+      | () -> Alcotest.failf "pull crash at %d: no Data_loss" at
+      | exception (Recover.Recovery_violation _ as e) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "pull crash at %d: %s" at (Printexc.to_string e))
+          true
+          (is_data_loss (Printexc.to_string e)))
+    [ 1; 100; 1000 ]
+
+(* A crash between a read reply and its sharing write-back. Processor 0
+   holds the block Exclusive on the home's node; processor 2's read
+   makes it downgrade, reply to processor 2 and write back to the home,
+   processor 1, which is computing and has not handled the write-back
+   when node 1 dies. The directory does not name processor 2 yet, but
+   the write-back does: the block is affected, or the write-back would
+   add a dead sharer and processor 1's store would wait forever for
+   its invalidation ack. The program has no synchronization, which
+   would poll inside that window, so it races by design: only the
+   sanitizer is attached. *)
+let sharing_wb_instance () =
+  let h = Dsm.create (make_cfg ()) in
+  let x = Dsm.alloc h ~home:1 8 in
+  let got = ref (-1) in
+  let body ctx =
+    match Dsm.pid ctx with
+    | 0 -> Dsm.store_int ctx x 7
+    | 1 ->
+      for _ = 1 to 150 do
+        Dsm.compute ctx 25
+      done;
+      Dsm.compute ctx 50_000;
+      Dsm.store_int ctx x 9;
+      got := Dsm.load_int ctx x
+    | 2 ->
+      Dsm.compute ctx 300;
+      ignore (Dsm.load_int ctx x)
+    | _ -> ()
+  in
+  (h, x, body, got)
+
+let test_crash_before_sharing_wb () =
+  let h, x, body, _ = sharing_wb_instance () in
+  let replied = ref (-1) and written_back = ref (-1) in
+  Dsm.add_observer h
+    {
+      Observer.nil with
+      Observer.on_recv =
+        (fun ~src:_ ~dst ~now msg ->
+          match msg with
+          | Msg.Data_reply { block; _ } when dst = 2 && block = x ->
+            replied := now
+          | Msg.Sharing_wb { block; _ } when block = x -> written_back := now
+          | _ -> ());
+    };
+  Dsm.run_controlled ~choose:default_choose h body;
+  let at = !replied + 1 in
+  Alcotest.(check bool) "the crash falls between reply and write-back" true
+    (!replied > 0 && at < !written_back);
+  List.iter
+    (fun ckpt ->
+      let h, _, body, got = sharing_wb_instance () in
+      let m = Dsm.machine h in
+      let san = Sanitizer.attach m in
+      let event =
+        if ckpt then
+          Crash.with_checkpoint h ~node:1 ~at
+            ~ckpt:(Checkpoint.attach m ~interval:512)
+        else Crash.kill h ~node:1 ~at
+      in
+      let what = Printf.sprintf "crash before the write-back (ckpt %b)" ckpt in
+      (try Dsm.run_controlled ~choose:default_choose ~events:[ event ] h body
+       with Engine.Cycle_limit p ->
+         Alcotest.failf "%s: processor %d hit the cycle limit" what p);
+      Alcotest.(check int) (what ^ ": sanitizer clean") 0
+        (Sanitizer.violation_count san);
+      Alcotest.(check int) (what ^ ": post-run invariants") 0
+        (List.length (Inspect.report m));
+      Alcotest.(check int) (what ^ ": processor 1 reads its store") 9 !got)
+    [ false; true ]
+
+(* Recovery's per-block decisions on hand-built survivor state: three
+   Base nodes, and node 0 dies. Every block's directory or traffic names
+   processor 0, so every block is affected.
+   - x (home 1): node 2's read miss had an invalidation race with its
+     reply. The restarted entry forgets it, since the re-requested data
+     is fresh.
+   - y (home 1): node 2's read-exclusive miss has its data and awaits
+     an ack from processor 0. It restarts as an upgrade.
+   - z (home 2): nodes 1 and 2 share the block and the dead processor
+     owned it. The home node's copy becomes the owner. *)
+let test_rebuild_decisions () =
+  let cfg =
+    Config.create ~variant:Config.Base ~nprocs:3 ~procs_per_node:1
+      ~heap_bytes:(64 * 1024) ~sanitize:0 ()
+  in
+  let h = Dsm.create cfg in
+  let m = Dsm.machine h in
+  (* a page each, so that each keeps its own home *)
+  let x = Dsm.alloc h ~home:1 4096 in
+  let y = Dsm.alloc h ~home:1 4096 in
+  let z = Dsm.alloc h ~home:2 4096 in
+  let node n = m.Machine.nodes.(n) in
+  let set_block n b st ~pending =
+    let first, len = Machine.lines_of_block m b in
+    for l = first to first + len - 1 do
+      State_table.set (node n).Machine.table l st;
+      State_table.set_pending (node n).Machine.table l pending
+    done
+  in
+  let dir b ~home ~owner sharers =
+    let e = Directory.entry m.Machine.dirs.(home) ~block:b ~home in
+    e.Directory.owner <- owner;
+    e.Directory.sharers <- Bitset.of_list sharers
+  in
+  let miss b kind =
+    Miss_table.add (node 2).Machine.misses ~block:b ~requester:2 ~kind ~now:0
+  in
+  set_block 1 x State_table.Shared ~pending:false;
+  set_block 2 x State_table.Invalid ~pending:true;
+  dir x ~home:1 ~owner:1 [ 0; 1 ];
+  let mx = miss x Msg.Read in
+  mx.Miss_table.inval_after_reply <- true;
+  set_block 1 y State_table.Invalid ~pending:false;
+  set_block 2 y State_table.Exclusive ~pending:false;
+  dir y ~home:1 ~owner:2 [ 2 ];
+  let my = miss y Msg.Readex in
+  my.Miss_table.data_ready <- true;
+  my.Miss_table.acks_expected <- 1;
+  Network.send m.Machine.net ~src:0 ~dst:2 ~now:0 ~size:0
+    (Msg.Inval_ack { block = y });
+  set_block 1 z State_table.Shared ~pending:false;
+  set_block 2 z State_table.Shared ~pending:false;
+  dir z ~home:2 ~owner:0 [ 0; 1; 2 ];
+  Recover.rebuild m ~node:0 ~mode:Recover.Pull ~kill:ignore ~now:0;
+  Alcotest.(check bool) "x: the invalidation race is forgotten" false
+    mx.Miss_table.inval_after_reply;
+  Alcotest.(check bool) "y: restarts as an upgrade" true
+    (my.Miss_table.kind = Msg.Upgrade && not my.Miss_table.data_ready);
+  Alcotest.(check bool) "y: pending again" true
+    (State_table.pending (node 2).Machine.table
+       (Layout.line_of m.Machine.layout y));
+  let reqs = ref [] in
+  Network.iter_queued m.Machine.net ~dst:1 (fun ~src ~arrival:_ msg ->
+      reqs := (src, msg) :: !reqs);
+  Alcotest.(check bool) "x and y re-request from the home" true
+    (List.mem (2, Msg.Req { kind = Msg.Read; block = x }) !reqs
+    && List.mem (2, Msg.Req { kind = Msg.Upgrade; block = y }) !reqs);
+  let ez = Directory.entry m.Machine.dirs.(2) ~block:z ~home:2 in
+  Alcotest.(check (pair int (list int))) "z: the home node owns, both share"
+    (2, [ 1; 2 ])
+    (ez.Directory.owner, Bitset.elements ez.Directory.sharers)
+
+(* A crash event fires at the same cycle under [Dsm.run] as under the
+   always-yield scheduler. Processor 2 computes, then loads a block homed
+   at processor 1 while node 0 dies. *)
+let test_events_fire_on_time () =
+  let observe ~run_ahead ~at ~compute =
+    let h = Dsm.create (base3 ()) in
+    let x = Dsm.alloc h ~home:1 8 in
+    let fired = ref (-1) in
+    let at, crash = Crash.kill h ~node:0 ~at in
+    let event ~kill ~now =
+      fired := now;
+      crash ~kill ~now
+    in
+    Dsm.run ~run_ahead ~events:[ (at, event) ] h (fun ctx ->
+        if Dsm.pid ctx = 2 then begin
+          Dsm.compute ctx compute;
+          ignore (Dsm.load_int ctx x)
+        end);
+    (* the event's cycle, then the run's cycles and messages *)
+    [
+      !fired;
+      Dsm.parallel_cycles h;
+      Dsm.messages_local h;
+      Dsm.messages_remote h;
+    ]
+  in
+  List.iter
+    (fun (at, compute) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "crash at %d, processor 2 computes %d" at compute)
+        (observe ~run_ahead:false ~at ~compute)
+        (observe ~run_ahead:true ~at ~compute))
+    [ (5_000, 3_000); (5_000, 4_000); (2_000, 100); (8_000, 3_000) ]
+
 let () =
   Alcotest.run "crash"
     [
@@ -512,6 +774,12 @@ let () =
             test_crash_holding_kv_lock;
           Alcotest.test_case "crash between checkpoint and log tail" `Quick
             test_crash_checkpoint_log_tail;
+          Alcotest.test_case "crash before a sharing write-back" `Quick
+            test_crash_before_sharing_wb;
+          Alcotest.test_case "crash events fire on time" `Quick
+            test_events_fire_on_time;
+          Alcotest.test_case "rebuild decisions on hand-built state" `Quick
+            test_rebuild_decisions;
         ] );
       ( "checkpoint-properties",
         [
@@ -521,5 +789,7 @@ let () =
             test_recover_data_coherent;
           Alcotest.test_case "restores the newest logged reply" `Quick
             test_recover_data_newest;
+          Alcotest.test_case "reads back a reply in flight at the snapshot"
+            `Quick test_recover_data_read_back;
         ] );
     ]

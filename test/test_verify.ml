@@ -49,7 +49,7 @@ let test_clean_reachability () =
   check_space (Lazy.force clean_result) ~states:3928 ~edges:36780
 
 let test_crash_reachability () =
-  check_space (Lazy.force crash_result) ~states:4018 ~edges:45060
+  check_space (Lazy.force crash_result) ~states:4053 ~edges:45239
 
 (* Every branch a step marks is one the dead report lists, so a mark
    added to the shared handlers cannot drop out of [verify --dead]. *)
