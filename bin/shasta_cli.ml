@@ -241,7 +241,7 @@ let run_check litmus sanitize races budget max_runs fault app_name nprocs
 let run_trace app_name nprocs variant clustering vg scale seed procs blocks
     kinds from_ upto limit capacity chrome_file stats no_dump =
   let module Recorder = Shasta_trace.Recorder in
-  let module Event = Shasta_trace.Event in
+  let module Event = Shasta_core.Event in
   let module Metrics = Shasta_trace.Metrics in
   let module Inspect = Shasta_core.Inspect in
   match Registry.find app_name with
@@ -757,15 +757,14 @@ let trace_block_arg =
            SHASTA_TRACE_BLOCK printf tracing.")
 
 let trace_kind_arg =
+  let classes = Shasta_core.Event.classes in
   Arg.(
-    value & opt_all string []
+    value
+    & opt_all (enum (List.map (fun c -> (c, c)) classes)) []
     & info [ "kind" ] ~docv:"K"
         ~doc:
-          "Only events of class $(docv): state, private, pending, \
-           pending_downgrade, send, recv, miss_start, miss_end, \
-           downgrade_ack, downgrade_done, downgrade_queued, \
-           downgrade_replay, lock_acquired, lock_released, barrier_arrive, \
-           barrier_leave (repeatable).")
+          ("Only events of class $(docv): " ^ String.concat ", " classes
+         ^ " (repeatable)."))
 
 let trace_from_arg =
   Arg.(

@@ -1,6 +1,7 @@
 module Machine = Shasta_core.Machine
 module Config = Shasta_core.Config
 module Observer = Shasta_core.Observer
+module Event = Shasta_core.Event
 module Msg = Shasta_core.Msg
 
 type access = Load | Store
@@ -56,26 +57,22 @@ let channel t ~src ~dst =
     Hashtbl.replace t.channels (src, dst) q;
     q
 
-(* The block whose copy a data-carrying message updates, if any. *)
-let data_block = function Msg.Data_reply { block; _ } -> Some block | _ -> None
-
 (* A message send publishes the sender's knowledge; a data reply
    additionally publishes everything its node's copy of the block
    carries — sibling stores the sender never synchronized with
    ([store_vc]) and knowledge that arrived with the copy itself
    ([copy_vc]). *)
-let on_send t ~src ~dst ~now:_ msg =
+let on_send t ~src ~dst ~kind ~block =
   let snap = Vclock.copy t.proc_vc.(src) in
-  (match data_block msg with
-  | None -> ()
-  | Some block ->
+  if kind = Msg.data_reply_tag then begin
     let node = Machine.node_of t.m src in
     (match Hashtbl.find_opt t.store_vc (node, block) with
     | Some vc -> Vclock.join snap vc
     | None -> ());
-    (match Hashtbl.find_opt t.copy_vc (node, block) with
+    match Hashtbl.find_opt t.copy_vc (node, block) with
     | Some vc -> Vclock.join snap vc
-    | None -> ()));
+    | None -> ()
+  end;
   Queue.push snap (channel t ~src ~dst)
 
 (* Message delivery merges the channel snapshot into the receiver; a
@@ -84,54 +81,53 @@ let on_send t ~src ~dst ~now:_ msg =
    of their own. Sends and receives are 1:1 per (src, dst) pair and the
    network delivers each pair FIFO, so the queue head is always the
    matching snapshot. *)
-let on_recv t ~src ~dst ~now:_ msg =
+let on_recv t ~src ~dst ~kind ~block =
   let q = channel t ~src ~dst in
   if not (Queue.is_empty q) then begin
     let snap = Queue.pop q in
     Vclock.join t.proc_vc.(dst) snap;
-    match data_block msg with
-    | None -> ()
-    | Some block ->
+    if kind = Msg.data_reply_tag then
       let node = Machine.node_of t.m dst in
       Vclock.join (find_vc t.copy_vc (node, block) t.nprocs) snap
   end
 
-(* Intra-node downgrades: every sibling that handles a downgrade message
-   for a block deposits its clock on the node's accumulator; the
-   processor that executes the deferred action (the last handler)
-   absorbs the accumulated clocks. *)
-let on_downgrade_ack t ~proc ~block =
-  let node = Machine.node_of t.m proc in
-  Vclock.join (find_vc t.downgrade_vc (node, block) t.nprocs) t.proc_vc.(proc)
+(* Vector-clock edges that go through an accumulator: the event's
+   processor joins its clock into it ([join_into]) or absorbs it.
+   - A release publishes the holder's clock on the lock, an acquire
+     absorbs it.
+   - A barrier episode orders every pre-barrier access before every
+     post-barrier one: arrivals accumulate, leaves absorb. The protocol
+     emits every arrival of an episode before any leave of it, so one
+     accumulator per (barrier, epoch) is enough.
+   - Intra-node downgrades: every sibling that handles a downgrade
+     message for a block deposits its clock on the node's accumulator;
+     the processor that executes the deferred action (the last handler)
+     absorbs them, and the next downgrade starts afresh. *)
+let join_into t table key ~proc =
+  Vclock.join (find_vc table key t.nprocs) t.proc_vc.(proc)
 
-let on_downgrade_done t ~proc ~block =
-  let node = Machine.node_of t.m proc in
-  match Hashtbl.find_opt t.downgrade_vc (node, block) with
-  | None -> ()
-  | Some vc ->
-    Vclock.join t.proc_vc.(proc) vc;
-    Hashtbl.remove t.downgrade_vc (node, block)
-
-let on_lock_released t ~proc ~lock ~now:_ =
-  Vclock.join (find_vc t.lock_vc lock t.nprocs) t.proc_vc.(proc)
-
-let on_lock_acquired t ~proc ~lock ~now:_ =
-  match Hashtbl.find_opt t.lock_vc lock with
+let absorb t table key ~proc =
+  match Hashtbl.find_opt table key with
   | None -> ()
   | Some vc -> Vclock.join t.proc_vc.(proc) vc
 
-(* A barrier episode orders every pre-barrier access before every
-   post-barrier one: arrivals accumulate, leaves absorb. The protocol
-   guarantees every arrival hook of an episode fires before any leave
-   hook of that episode, so one accumulator per (barrier, epoch) is
-   enough. *)
-let on_barrier_arrive t ~proc ~barrier ~epoch ~now:_ =
-  Vclock.join (find_vc t.barrier_vc (barrier, epoch) t.nprocs) t.proc_vc.(proc)
-
-let on_barrier_leave t ~proc ~barrier ~epoch ~now:_ =
-  match Hashtbl.find_opt t.barrier_vc (barrier, epoch) with
-  | None -> ()
-  | Some vc -> Vclock.join t.proc_vc.(proc) vc
+let on_event t { Event.proc; payload; _ } =
+  match payload with
+  | Send { dst; kind; block; _ } -> on_send t ~src:proc ~dst ~kind ~block
+  | Recv { src; kind; block; _ } -> on_recv t ~src ~dst:proc ~kind ~block
+  | Lock_released { lock } -> join_into t t.lock_vc lock ~proc
+  | Lock_acquired { lock } -> absorb t t.lock_vc lock ~proc
+  | Barrier_arrive { barrier; epoch } ->
+    join_into t t.barrier_vc (barrier, epoch) ~proc
+  | Barrier_leave { barrier; epoch } ->
+    absorb t t.barrier_vc (barrier, epoch) ~proc
+  | Downgrade_ack { block } ->
+    join_into t t.downgrade_vc (Machine.node_of t.m proc, block) ~proc
+  | Downgrade_done { block } ->
+    let key = (Machine.node_of t.m proc, block) in
+    absorb t t.downgrade_vc key ~proc;
+    Hashtbl.remove t.downgrade_vc key
+  | _ -> ()
 
 let shadow t addr =
   match Hashtbl.find_opt t.shadows addr with
@@ -225,23 +221,7 @@ let attach m =
   in
   Machine.add_observer m
     {
-      Observer.nil with
-      Observer.on_send = (fun ~src ~dst ~now msg -> on_send t ~src ~dst ~now msg);
-      on_recv = (fun ~src ~dst ~now msg -> on_recv t ~src ~dst ~now msg);
-      on_downgrade_ack =
-        (fun ~proc ~block ~now:_ -> on_downgrade_ack t ~proc ~block);
-      on_downgrade_done =
-        (fun ~proc ~block ~now:_ -> on_downgrade_done t ~proc ~block);
-      on_lock_acquired =
-        (fun ~proc ~lock ~now -> on_lock_acquired t ~proc ~lock ~now);
-      on_lock_released =
-        (fun ~proc ~lock ~now -> on_lock_released t ~proc ~lock ~now);
-      on_barrier_arrive =
-        (fun ~proc ~barrier ~epoch ~now ->
-          on_barrier_arrive t ~proc ~barrier ~epoch ~now);
-      on_barrier_leave =
-        (fun ~proc ~barrier ~epoch ~now ->
-          on_barrier_leave t ~proc ~barrier ~epoch ~now);
+      (Observer.of_events (on_event t)) with
       on_load =
         (fun ~proc ~addr ~len ~now -> access t Load ~proc ~addr ~len ~now);
       on_store =

@@ -4,6 +4,7 @@ module State_table = Shasta_mem.State_table
 module Machine = Shasta_core.Machine
 module Config = Shasta_core.Config
 module Observer = Shasta_core.Observer
+module Event = Shasta_core.Event
 module Inspect = Shasta_core.Inspect
 module Miss_table = Shasta_core.Miss_table
 module Downgrade = Shasta_core.Downgrade
@@ -126,22 +127,18 @@ let check_pending_downgrade t ~node ~block ~set =
 
 let attach ?(limit = 100) m =
   let t = { m; limit; events = 0; nviolations = 0; violations = [] } in
-  Machine.add_observer m
-    {
-      Observer.nil with
-      Observer.on_state =
-        (fun ~by:_ ~node ~block ~from_ ~to_ ~now:_ ->
-          check_state t ~node ~block ~from_ ~to_);
-      on_private =
-        (fun ~by:_ ~proc ~block ~from_ ~to_ ~now:_ ->
-          check_private t ~proc ~block ~from_ ~to_);
-      on_pending =
-        (fun ~by:_ ~node ~block ~set ~now:_ ->
-          check_pending t ~node ~block ~set);
-      on_pending_downgrade =
-        (fun ~by:_ ~node ~block ~set ~now:_ ->
-          check_pending_downgrade t ~node ~block ~set);
-    };
+  let on_event (e : Event.t) =
+    match e.payload with
+    | State { node; block; from_; to_ } ->
+      check_state t ~node ~block ~from_ ~to_
+    | Private { target; block; from_; to_ } ->
+      check_private t ~proc:target ~block ~from_ ~to_
+    | Pending { node; block; set } -> check_pending t ~node ~block ~set
+    | Pending_downgrade { node; block; set } ->
+      check_pending_downgrade t ~node ~block ~set
+    | _ -> ()
+  in
+  Machine.add_observer m { Observer.nil with on_event };
   t
 
 let events t = t.events

@@ -1,10 +1,11 @@
 (** Online protocol invariant sanitizer.
 
-    Attaches to a machine's {!Shasta_core.Observer} hooks and
-    incrementally re-checks per-block protocol invariants at every state
-    transition, instead of waiting for a whole-machine sweep: single
-    exclusive copy, directory/state-table agreement, private-vs-shared
-    table consistency, pending / pending-downgrade lifecycle, and the
+    Reads a machine's state-table and pending events
+    ({!Shasta_core.Observer}'s [on_event]) and incrementally re-checks
+    per-block protocol invariants at every state transition, instead
+    of waiting for a whole-machine sweep: single exclusive copy,
+    directory/state-table agreement, private-vs-shared table
+    consistency, pending / pending-downgrade lifecycle, and the
     invalid-flag stamping discipline. Each check is O(nodes + procs) in
     the affected block only, so the sanitizer runs on real workloads
     ([SHASTA_SANITIZE=1]). Cycle-neutral: hooks never charge simulated

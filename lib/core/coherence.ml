@@ -599,8 +599,8 @@ module Make (S : SUBSTRATE) = struct
     end
     else send v home msg
 
-  (* Open a miss entry and mark the block pending ([on_miss_start] fires
-     before the pending bit is set). *)
+  (* Open a miss entry and mark the block pending (the [Miss_start]
+     event comes before the pending bit is set). *)
   let open_fetch v kind =
     let e = S.open_miss v kind in
     S.set_pending v true;

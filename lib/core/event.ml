@@ -1,5 +1,4 @@
 module State_table = Shasta_mem.State_table
-module Msg = Shasta_core.Msg
 
 type base = State_table.base
 
@@ -22,6 +21,26 @@ type payload =
   | Barrier_leave of { barrier : int; epoch : int }
 
 type t = { proc : int; time : int; payload : payload }
+
+let classes =
+  [
+    "state";
+    "private";
+    "pending";
+    "pending_downgrade";
+    "send";
+    "recv";
+    "miss_start";
+    "miss_end";
+    "downgrade_ack";
+    "downgrade_done";
+    "downgrade_queued";
+    "downgrade_replay";
+    "lock_acquired";
+    "lock_released";
+    "barrier_arrive";
+    "barrier_leave";
+  ]
 
 let class_name e =
   match e.payload with

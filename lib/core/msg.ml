@@ -46,6 +46,8 @@ let block_of = function
   | Barrier_release _ ->
     None
 
+let data_reply_tag = 6
+
 let tag = function
   | Req { kind = Read; _ } -> 0
   | Req { kind = Readex; _ } -> 1
@@ -53,7 +55,7 @@ let tag = function
   | Fwd { kind = Read; _ } -> 3
   | Fwd { kind = Readex; _ } -> 4
   | Fwd { kind = Upgrade; _ } -> 5
-  | Data_reply _ -> 6
+  | Data_reply _ -> data_reply_tag
   | Upgrade_reply _ -> 7
   | Invalidate _ -> 8
   | Inval_ack _ -> 9

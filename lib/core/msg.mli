@@ -51,5 +51,8 @@ val tag : t -> int
 
 val tag_names : string array
 
+val data_reply_tag : int
+(** The tag of [Data_reply], the one message that carries a block copy. *)
+
 val describe : t -> string
 (** Constructor name, for traces and tests. *)

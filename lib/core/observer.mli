@@ -1,88 +1,49 @@
 (** Protocol event observer: the hook surface of the analysis layer.
 
-    An observer is a record of callbacks installed on a {!Machine.t}
-    (see [Machine.observer]) before the parallel phase starts. The
-    protocol and the Dsm access layer invoke each callback at the
-    corresponding event; when no observer is installed every hook site
-    compiles to a single [match] on [None], so an uninstrumented run
-    stays within measurement noise of the unhooked code and its
-    simulated cycle counts are bit-identical (hooks never charge
-    cycles).
+    An observer is a record of five callbacks installed on a
+    {!Machine.t} (see [Machine.observer]) before the parallel phase
+    starts:
 
-    Events fire {e after} the mutation they describe has been applied
-    (a state hook observes the new table contents), except
-    [on_send]/[on_recv] which bracket a message's network transit, and
-    [on_barrier_arrive], which fires when the processor commits to the
-    barrier episode [epoch] (before it stalls).
+    - [on_event] receives the protocol's events ({!Event.payload}):
+      node and private state-table transitions, pending and
+      pending-downgrade flips, miss spans, the §3.4.3 intra-node
+      downgrade's ack, done, queue and replay, and lock and barrier
+      episodes;
+    - [on_send] and [on_recv] bracket a message's network transit and
+      hand over the {!Msg.t} itself ([Checkpoint] logs its bytes);
+      {!of_events} turns them into [Send]/[Recv] events;
+    - [on_load] and [on_store] fire on every application access, with
+      unboxed arguments: no event is built for them.
 
-    Every hook carries [now] (the virtual cycle of the processor that
-    executed the event) and identifies that executing processor — as
-    [by] on the node-level hooks, whose [node]/[proc] argument names the
-    entity that changed rather than the actor, and as [proc]/[src]/[dst]
-    elsewhere. Because each processor's execution is deterministic in
-    virtual time, the stream of events attributed to one executing
-    processor is a pure function of the program and configuration,
-    independent of the host scheduler — which makes per-processor event
-    streams usable as a determinism oracle (see {!Shasta_trace}). *)
+    When no observer is installed every hook site is one load and one
+    branch and allocates nothing. Hooks never charge cycles, so
+    simulated cycle counts are bit-identical with and without an
+    observer. But {e any} installed observer, even one that only counts
+    sends (YCSB's per-class message counter), forces every access onto
+    the reference path ([Dsm], DESIGN §3g), since the access hooks must
+    see each access with its exact clock: a YCSB run never takes the
+    fused hit check.
 
-type base = Shasta_mem.State_table.base
+    Every callback carries the virtual cycle of the processor that
+    executed the event ([time], or [now]) and identifies that processor
+    ([proc], or the message's [src] for a send and [dst] for a
+    receive). Because each processor's execution is deterministic in
+    virtual time, the stream attributed to one executing processor is a
+    pure function of the program and configuration, independent of the
+    host scheduler (see {!Event}). *)
 
 type t = {
-  on_state :
-    by:int -> node:int -> block:int -> from_:base -> to_:base -> now:int -> unit;
-      (** a node's shared state table changed for a whole block;
-          [by] is the processor executing the transition *)
-  on_private :
-    by:int -> proc:int -> block:int -> from_:base -> to_:base -> now:int -> unit;
-      (** processor [proc]'s private state table changed for a whole
-          block (SMP-Shasta; fires only on an actual change). [by] is
-          the executing processor — a downgrade handler lowers a
-          {e sibling}'s entry, so [by] and [proc] can differ. *)
-  on_pending : by:int -> node:int -> block:int -> set:bool -> now:int -> unit;
-      (** the pending (miss outstanding) marker toggled *)
-  on_pending_downgrade :
-    by:int -> node:int -> block:int -> set:bool -> now:int -> unit;
-      (** the pending-downgrade marker toggled *)
+  on_event : Event.t -> unit;
   on_send : src:int -> dst:int -> now:int -> Msg.t -> unit;
       (** a message entered the network ([src <> dst]; inline
           same-processor delivery generates no send/recv pair) *)
   on_recv : src:int -> dst:int -> now:int -> Msg.t -> unit;
-      (** a message was polled off the network by [dst], about to be
-          handled; replays of messages queued on a miss entry, a busy
-          directory entry or a downgrade entry do not re-fire this *)
-  on_miss_start : proc:int -> block:int -> kind:Msg.req_kind -> now:int -> unit;
-      (** a miss entry was allocated: the node had no request in flight
-          for [block] and [proc]'s access created one (sibling accesses
-          that merge into an existing entry do not fire this) *)
-  on_miss_end :
-    proc:int -> block:int -> kind:Msg.req_kind -> start:int -> now:int -> unit;
-      (** the miss entry allocated at cycle [start] retired on [proc]
-          (data applied and all acks in). [kind] is the entry's final
-          kind — an upgrade chained onto a read entry reports [Readex],
-          and the whole chain is one miss span. *)
-  on_downgrade_ack : proc:int -> block:int -> now:int -> unit;
-      (** a sibling handled a downgrade message (its private entry is
-          already lowered) *)
-  on_downgrade_done : proc:int -> block:int -> now:int -> unit;
-      (** the deferred protocol action of a node downgrade is about to
-          run on [proc] (the processor that handled the last downgrade
-          message, or the initiator when no sibling needed one) *)
-  on_downgrade_queued :
-    proc:int -> block:int -> src:int -> now:int -> Msg.t -> unit;
-      (** a message arriving during a pending downgrade was queued on
-          the entry *)
-  on_downgrade_replay :
-    proc:int -> block:int -> src:int -> now:int -> Msg.t -> unit;
-      (** a queued message is being replayed after the downgrade
-          completed (fires in replay order) *)
+      (** [dst] polled a message off the network, about to handle it;
+          replays of queued messages do not re-fire this *)
   on_load : proc:int -> addr:int -> len:int -> now:int -> unit;
       (** an application load retired (after any miss handling) *)
   on_store : proc:int -> addr:int -> len:int -> now:int -> unit;
       (** an application store was issued through the protocol *)
-  on_lock_acquired : proc:int -> lock:int -> now:int -> unit;
-  on_lock_released : proc:int -> lock:int -> now:int -> unit;
-  on_barrier_arrive : proc:int -> barrier:int -> epoch:int -> now:int -> unit;
-  on_barrier_leave : proc:int -> barrier:int -> epoch:int -> now:int -> unit;
 }
 
 val nil : t
@@ -90,3 +51,13 @@ val nil : t
 
 val seq : t -> t -> t
 (** [seq a b] runs [a]'s callback then [b]'s at every event. *)
+
+val wants_events : t -> bool
+(** Whether [on_event] is not [nil]'s. The protocol builds no event for
+    an observer that does not want them (YCSB's message counter), also
+    after {!seq} composed it with another such observer. *)
+
+val of_events : (Event.t -> unit) -> t
+(** [of_events f] hands [f] every protocol event and every message as
+    a [Send] (attributed to the sender) or [Recv] (attributed to the
+    receiver) event; the access hooks are [nil]'s. *)

@@ -86,75 +86,24 @@ let violation ctx ~block detail =
   raise (Protocol_violation { pid = pid ctx; block; state; detail })
 
 (* ------------------------------------------------------------------ *)
-(* Observer hooks. Each site is a single match on the option: with no
-   observer installed the hook costs one load and one branch, so the
-   instrumented build stays within noise of the unhooked code, and no
-   hook ever charges cycles — simulated time is bit-identical whether
-   or not an observer is watching. *)
+(* Observer events. Each site tests [observed] before it builds its
+   payload: with no observer installed that costs one load and one
+   branch and allocates nothing, so the instrumented build stays within
+   noise of the unhooked code, and no event ever charges cycles —
+   simulated time is bit-identical whether or not an observer is
+   watching. An observer without an event hook gets no events built. *)
 
-let obs_state ctx ~block ~from_ ~to_ =
+let observed ctx =
+  match ctx.m.Machine.observer with
+  | None -> false
+  | Some o -> Observer.wants_events o
+
+let emit ctx payload =
   match ctx.m.Machine.observer with
   | None -> ()
   | Some o ->
-    o.Observer.on_state ~by:(pid ctx) ~node:(node ctx) ~block ~from_ ~to_
-      ~now:(Engine.now ctx.eng)
-
-let obs_private ctx ~proc ~block ~from_ ~to_ =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_private ~by:(pid ctx) ~proc ~block ~from_ ~to_
-      ~now:(Engine.now ctx.eng)
-
-let obs_pending ctx ~block ~set =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_pending ~by:(pid ctx) ~node:(node ctx) ~block ~set
-      ~now:(Engine.now ctx.eng)
-
-let obs_pending_downgrade ctx ~block ~set =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_pending_downgrade ~by:(pid ctx) ~node:(node ctx) ~block ~set
-      ~now:(Engine.now ctx.eng)
-
-let obs_miss_start ctx ~block ~kind =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_miss_start ~proc:(pid ctx) ~block ~kind
-      ~now:(Engine.now ctx.eng)
-
-let obs_recv ctx ~src ~now msg =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o -> o.Observer.on_recv ~src ~dst:(pid ctx) ~now msg
-
-let obs_lock_acquired ctx ~lock =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o -> o.Observer.on_lock_acquired ~proc:(pid ctx) ~lock ~now:(Engine.now ctx.eng)
-
-let obs_lock_released ctx ~lock =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o -> o.Observer.on_lock_released ~proc:(pid ctx) ~lock ~now:(Engine.now ctx.eng)
-
-let obs_barrier_arrive ctx ~barrier ~epoch =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_barrier_arrive ~proc:(pid ctx) ~barrier ~epoch
-      ~now:(Engine.now ctx.eng)
-
-let obs_barrier_leave ctx ~barrier ~epoch =
-  match ctx.m.Machine.observer with
-  | None -> ()
-  | Some o ->
-    o.Observer.on_barrier_leave ~proc:(pid ctx) ~barrier ~epoch
-      ~now:(Engine.now ctx.eng)
+    o.Observer.on_event
+      { Event.proc = pid ctx; time = Engine.now ctx.eng; payload }
 
 (* ------------------------------------------------------------------ *)
 (* Cycle accounting.                                                   *)
@@ -184,7 +133,8 @@ let set_block_state ctx block st =
   for l = first to first + n - 1 do
     State_table.set table l st
   done;
-  if st <> old then obs_state ctx ~block ~from_:old ~to_:st
+  if st <> old && observed ctx then
+    emit ctx (Event.State { node = node ctx; block; from_ = old; to_ = st })
 
 let set_block_pending ctx block v =
   let table = (node_state ctx).Machine.table in
@@ -192,7 +142,8 @@ let set_block_pending ctx block v =
   for l = first to first + n - 1 do
     State_table.set_pending table l v
   done;
-  obs_pending ctx ~block ~set:v
+  if observed ctx then
+    emit ctx (Event.Pending { node = node ctx; block; set = v })
 
 let set_block_pending_downgrade ctx block v =
   let table = (node_state ctx).Machine.table in
@@ -200,7 +151,8 @@ let set_block_pending_downgrade ctx block v =
   for l = first to first + n - 1 do
     State_table.set_pending_downgrade table l v
   done;
-  obs_pending_downgrade ctx ~block ~set:v
+  if observed ctx then
+    emit ctx (Event.Pending_downgrade { node = node ctx; block; set = v })
 
 (* Raise a private state table to [st] (never downgrade). *)
 let raise_private ctx p block st =
@@ -211,8 +163,8 @@ let raise_private ctx p block st =
     if State_table.rank (State_table.get table l) < State_table.rank st then
       State_table.set table l st
   done;
-  if State_table.rank old < State_table.rank st then
-    obs_private ctx ~proc:p ~block ~from_:old ~to_:st
+  if State_table.rank old < State_table.rank st && observed ctx then
+    emit ctx (Event.Private { target = p; block; from_ = old; to_ = st })
 
 (* Lower a private state table to [st] (never upgrade). *)
 let lower_private ctx p block st =
@@ -223,8 +175,8 @@ let lower_private ctx p block st =
     if State_table.rank (State_table.get table l) > State_table.rank st then
       State_table.set table l st
   done;
-  if State_table.rank old > State_table.rank st then
-    obs_private ctx ~proc:p ~block ~from_:old ~to_:st
+  if State_table.rank old > State_table.rank st && observed ctx then
+    emit ctx (Event.Private { target = p; block; from_ = old; to_ = st })
 
 let private_state ctx p block =
   let table = ctx.m.Machine.privates.(p) in
@@ -343,17 +295,19 @@ module Handlers = Coherence.Make (struct
       Miss_table.add (node_state ctx).Machine.misses ~block:v.block
         ~requester:(pid v) ~kind ~now:(Engine.now ctx.eng)
     in
-    obs_miss_start ctx ~block:v.block ~kind;
+    if observed ctx then emit ctx (Event.Miss_start { block = v.block; kind });
     e
 
   let retire v e =
     let ctx = v.ctx in
-    (match ctx.m.Machine.observer with
-    | None -> ()
-    | Some o ->
-      o.Observer.on_miss_end ~proc:(pid v) ~block:v.block
-        ~kind:e.Miss_table.kind ~start:e.Miss_table.start_cycles
-        ~now:(Engine.now ctx.eng));
+    if observed ctx then
+      emit ctx
+        (Event.Miss_end
+           {
+             block = v.block;
+             kind = e.Miss_table.kind;
+             start = e.Miss_table.start_cycles;
+           });
     Miss_table.remove (node_state ctx).Machine.misses e;
     Bitset.iter
       (fun p ->
@@ -406,31 +360,25 @@ module Handlers = Coherence.Make (struct
   let note v note =
     let ctx = v.ctx and block = v.block in
     let stats = ctx.ps.Machine.stats in
-    match (note, ctx.m.Machine.observer) with
-    | Coherence.Downgrades_sent n, _ ->
+    match note with
+    | Coherence.Downgrades_sent n ->
       Histogram.add stats.Stats.downgrade_events n;
       stats.Stats.downgrades_sent <- stats.Stats.downgrades_sent + n
-    | Coherence.Miss_served { kind; three_hop; start }, _ ->
+    | Coherence.Miss_served { kind; three_hop; start } ->
       Stats.record_miss stats { Stats.kind; three_hop };
       if kind = Msg.Read then
         Stats.record_read_latency stats (Engine.now ctx.eng - start)
-    | Coherence.False_miss, _ ->
+    | Coherence.False_miss ->
       stats.Stats.false_misses <- stats.Stats.false_misses + 1
-    | Coherence.Private_upgrade, _ ->
+    | Coherence.Private_upgrade ->
       stats.Stats.private_upgrades <- stats.Stats.private_upgrades + 1
-    | _, None -> ()
-    | Coherence.Downgrade_queued (src, msg), Some o ->
-      o.Observer.on_downgrade_queued ~proc:(pid v) ~block ~src
-        ~now:(Engine.now ctx.eng) msg
-    | Coherence.Downgrade_ack, Some o ->
-      o.Observer.on_downgrade_ack ~proc:(pid v) ~block
-        ~now:(Engine.now ctx.eng)
-    | Coherence.Downgrade_done, Some o ->
-      o.Observer.on_downgrade_done ~proc:(pid v) ~block
-        ~now:(Engine.now ctx.eng)
-    | Coherence.Downgrade_replay (src, msg), Some o ->
-      o.Observer.on_downgrade_replay ~proc:(pid v) ~block ~src
-        ~now:(Engine.now ctx.eng) msg
+    | _ when not (observed ctx) -> ()
+    | Coherence.Downgrade_queued (src, msg) ->
+      emit ctx (Event.Downgrade_queued { block; src; kind = Msg.tag msg })
+    | Coherence.Downgrade_ack -> emit ctx (Event.Downgrade_ack { block })
+    | Coherence.Downgrade_done -> emit ctx (Event.Downgrade_done { block })
+    | Coherence.Downgrade_replay (src, msg) ->
+      emit ctx (Event.Downgrade_replay { block; src; kind = Msg.tag msg })
 
   let mark _ _ = ()
   let violation v detail = violation v.ctx ~block:v.block detail
@@ -509,7 +457,9 @@ let poll_handle ctx =
     match Network.poll ctx.m.Machine.net ~dst:(pid ctx) ~now with
     | Some (src, msg) ->
       Engine.touch ctx.eng;
-      obs_recv ctx ~src ~now msg;
+      (match ctx.m.Machine.observer with
+      | None -> ()
+      | Some o -> o.Observer.on_recv ~src ~dst:(pid ctx) ~now msg);
       handle_message ctx ~src msg;
       loop ()
     | None -> ()
@@ -902,11 +852,11 @@ let lock_acquire ctx lock =
       Hashtbl.mem ctx.ps.Machine.granted lock);
   ctx.ps.Machine.waiting_lock <- None;
   Hashtbl.remove ctx.ps.Machine.granted lock;
-  obs_lock_acquired ctx ~lock
+  if observed ctx then emit ctx (Event.Lock_acquired { lock })
 
 let lock_release ctx lock =
   release_stores ctx;
-  obs_lock_released ctx ~lock;
+  if observed ctx then emit ctx (Event.Lock_released { lock });
   with_category ctx Stats.Sync (fun () ->
       deliver ctx (Machine.lock_home ctx.m lock) (Msg.Lock_release { lock }))
 
@@ -927,7 +877,8 @@ let barrier_wait ctx barrier =
        is broadcast once per node and fanned out through shared memory. *)
     let bs = Machine.local_barrier ctx.m ~node:(node ctx) barrier in
     let before = bs.Machine.generation in
-    obs_barrier_arrive ctx ~barrier ~epoch:(before + 1);
+    if observed ctx then
+      emit ctx (Event.Barrier_arrive { barrier; epoch = before + 1 });
     charge ctx (ctx.t.Timing.memory_barrier + ctx.t.Timing.sync_manager);
     bs.Machine.arrived <- bs.Machine.arrived + 1;
     ctx.ps.Machine.waiting_barrier <- Some barrier;
@@ -940,7 +891,8 @@ let barrier_wait ctx barrier =
     end;
     stall ctx Stats.Sync (fun () -> bs.Machine.generation > before);
     ctx.ps.Machine.waiting_barrier <- None;
-    obs_barrier_leave ctx ~barrier ~epoch:(before + 1);
+    if observed ctx then
+      emit ctx (Event.Barrier_leave { barrier; epoch = before + 1 });
     acquire_fence ctx;
     barrier_sanitize ctx
   end
@@ -949,13 +901,15 @@ let barrier_wait ctx barrier =
       Option.value ~default:0 (Hashtbl.find_opt ctx.ps.Machine.barrier_seen barrier)
     in
     let before = seen () in
-    obs_barrier_arrive ctx ~barrier ~epoch:(before + 1);
+    if observed ctx then
+      emit ctx (Event.Barrier_arrive { barrier; epoch = before + 1 });
     ctx.ps.Machine.waiting_barrier <- Some barrier;
     with_category ctx Stats.Sync (fun () ->
         deliver ctx (Machine.barrier_home ctx.m barrier) (Msg.Barrier_arrive { barrier }));
     stall ~scope:Engine.Self ctx Stats.Sync (fun () -> seen () > before);
     ctx.ps.Machine.waiting_barrier <- None;
-    obs_barrier_leave ctx ~barrier ~epoch:(before + 1);
+    if observed ctx then
+      emit ctx (Event.Barrier_leave { barrier; epoch = before + 1 });
     acquire_fence ctx;
     barrier_sanitize ctx
   end

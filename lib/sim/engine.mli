@@ -103,7 +103,7 @@ val run :
     benchmarking and for cross-checking determinism. Outside {!Global}
     waits, anything a processor observes or emits is a pure function of
     its own virtual clock, so an event stream attributed to the
-    {e executing} processor at its cycle (as the core [Observer.t] hooks
+    {e executing} processor at its cycle (as the core [Event.t]s
     are) is identical event-for-event under both schedulers — the
     trace-golden test uses this as its oracle. In the [outcome], the
     yield counters differ by design, and [finish] is the same under both

@@ -5,6 +5,8 @@
    misses and node downgrades additionally get duration ("X") events so
    their spans are visible at a glance. *)
 
+module Event = Shasta_core.Event
+
 let cycles_per_us = 300.
 
 let ts cycles = float_of_int cycles /. cycles_per_us

@@ -9,10 +9,12 @@
     process/thread name metadata ("M") records name the tracks. Every
     emitted object carries [ph]/[ts]/[pid]/[tid]. *)
 
-val export : Buffer.t -> node_of:(int -> int) -> Event.t list -> unit
+val export :
+  Buffer.t -> node_of:(int -> int) -> Shasta_core.Event.t list -> unit
 (** [node_of] maps a processor id to its coherence node
     (e.g. [Shasta_core.Machine.node_of m]). *)
 
-val to_string : node_of:(int -> int) -> Event.t list -> string
+val to_string : node_of:(int -> int) -> Shasta_core.Event.t list -> string
 
-val write_file : string -> node_of:(int -> int) -> Event.t list -> unit
+val write_file :
+  string -> node_of:(int -> int) -> Shasta_core.Event.t list -> unit

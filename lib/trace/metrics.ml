@@ -1,6 +1,6 @@
 module Machine = Shasta_core.Machine
 module Observer = Shasta_core.Observer
-module Msg = Shasta_core.Msg
+module Event = Shasta_core.Event
 module Histogram = Shasta_util.Histogram
 
 type t = {
@@ -30,33 +30,30 @@ let create () =
     dg_start = Hashtbl.create 16;
   }
 
-let observer t =
-  {
-    Observer.nil with
-    Observer.on_miss_end =
-      (fun ~proc:_ ~block:_ ~kind:_ ~start ~now ->
-        t.misses <- t.misses + 1;
-        Histogram.add t.miss_latency (now - start));
-    on_pending_downgrade =
-      (fun ~by:_ ~node ~block ~set ~now ->
-        if set then Hashtbl.replace t.dg_start (node, block) now
-        else
-          match Hashtbl.find_opt t.dg_start (node, block) with
-          | None -> ()
-          | Some start ->
-            Hashtbl.remove t.dg_start (node, block);
-            t.downgrades <- t.downgrades + 1;
-            Histogram.add t.downgrade_rtt (now - start));
-    on_send =
-      (fun ~src:_ ~dst:_ ~now:_ msg ->
-        t.sends <- t.sends + 1;
-        Histogram.add t.msg_size (Msg.size_bytes msg);
-        Histogram.add t.msg_kind (Msg.tag msg));
-    on_recv =
-      (fun ~src:_ ~dst ~now:_ _msg ->
-        t.recvs <- t.recvs + 1;
-        Histogram.add t.home_occupancy dst);
-  }
+let on_event t (e : Event.t) =
+  match e.payload with
+  | Miss_end { start; _ } ->
+    t.misses <- t.misses + 1;
+    Histogram.add t.miss_latency (e.time - start)
+  | Pending_downgrade { node; block; set = true } ->
+    Hashtbl.replace t.dg_start (node, block) e.time
+  | Pending_downgrade { node; block; set = false } -> (
+    match Hashtbl.find_opt t.dg_start (node, block) with
+    | None -> ()
+    | Some start ->
+      Hashtbl.remove t.dg_start (node, block);
+      t.downgrades <- t.downgrades + 1;
+      Histogram.add t.downgrade_rtt (e.time - start))
+  | Send { kind; size; _ } ->
+    t.sends <- t.sends + 1;
+    Histogram.add t.msg_size size;
+    Histogram.add t.msg_kind kind
+  | Recv _ ->
+    t.recvs <- t.recvs + 1;
+    Histogram.add t.home_occupancy e.proc
+  | _ -> ()
+
+let observer t = Observer.of_events (on_event t)
 
 let attach m =
   let t = create () in

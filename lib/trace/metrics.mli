@@ -1,4 +1,5 @@
-(** Online metrics registry derived from observer hooks.
+(** Online metrics registry derived from the protocol's events
+    ({!Shasta_core.Event.t}, through {!Shasta_core.Observer.of_events}).
 
     Maintains {!Shasta_util.Histogram} distributions (paper Tables 5-8
     flavour) incrementally, so they are exact even when the event

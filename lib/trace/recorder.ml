@@ -1,20 +1,20 @@
 module Machine = Shasta_core.Machine
 module Config = Shasta_core.Config
 module Observer = Shasta_core.Observer
-module Msg = Shasta_core.Msg
+module Event = Shasta_core.Event
 
 (* One ring per processor. [count] is the total number of events ever
    appended; when it exceeds [Array.length buf] the oldest entries have
-   been overwritten (flight-recorder semantics). *)
-type ring = { buf : Event.t option array; mutable count : int }
+   been overwritten (flight-recorder semantics). Slots not yet written
+   hold [filler] and are never read. *)
+type ring = { buf : Event.t array; mutable count : int }
 
 type t = { rings : ring array; capacity : int }
 
 let default_capacity = 1 lsl 16
 
-let append ring ev =
-  ring.buf.(ring.count land (Array.length ring.buf - 1)) <- Some ev;
-  ring.count <- ring.count + 1
+let filler =
+  { Event.proc = -1; time = 0; payload = Lock_acquired { lock = -1 } }
 
 (* Round up to a power of two so the ring index is a mask. *)
 let pow2_at_least n =
@@ -29,81 +29,16 @@ let create ?(capacity = default_capacity) ~nprocs () =
   {
     rings =
       Array.init nprocs (fun _ ->
-          { buf = Array.make capacity None; count = 0 });
+          { buf = Array.make capacity filler; count = 0 });
     capacity;
   }
 
-let record t ~proc ~time payload =
-  append t.rings.(proc) { Event.proc; time; payload }
+let record t (ev : Event.t) =
+  let ring = t.rings.(ev.proc) in
+  ring.buf.(ring.count land (Array.length ring.buf - 1)) <- ev;
+  ring.count <- ring.count + 1
 
-let observer t =
-  let ev = record t in
-  {
-    Observer.nil with
-    Observer.on_state =
-      (fun ~by ~node ~block ~from_ ~to_ ~now ->
-        ev ~proc:by ~time:now (Event.State { node; block; from_; to_ }));
-    on_private =
-      (fun ~by ~proc ~block ~from_ ~to_ ~now ->
-        ev ~proc:by ~time:now
-          (Event.Private { target = proc; block; from_; to_ }));
-    on_pending =
-      (fun ~by ~node ~block ~set ~now ->
-        ev ~proc:by ~time:now (Event.Pending { node; block; set }));
-    on_pending_downgrade =
-      (fun ~by ~node ~block ~set ~now ->
-        ev ~proc:by ~time:now (Event.Pending_downgrade { node; block; set }));
-    on_send =
-      (fun ~src ~dst ~now msg ->
-        ev ~proc:src ~time:now
-          (Event.Send
-             {
-               dst;
-               kind = Msg.tag msg;
-               size = Msg.size_bytes msg;
-               block = Option.value ~default:(-1) (Msg.block_of msg);
-             }));
-    on_recv =
-      (fun ~src ~dst ~now msg ->
-        ev ~proc:dst ~time:now
-          (Event.Recv
-             {
-               src;
-               kind = Msg.tag msg;
-               size = Msg.size_bytes msg;
-               block = Option.value ~default:(-1) (Msg.block_of msg);
-             }));
-    on_miss_start =
-      (fun ~proc ~block ~kind ~now ->
-        ev ~proc ~time:now (Event.Miss_start { block; kind }));
-    on_miss_end =
-      (fun ~proc ~block ~kind ~start ~now ->
-        ev ~proc ~time:now (Event.Miss_end { block; kind; start }));
-    on_downgrade_ack =
-      (fun ~proc ~block ~now ->
-        ev ~proc ~time:now (Event.Downgrade_ack { block }));
-    on_downgrade_done =
-      (fun ~proc ~block ~now ->
-        ev ~proc ~time:now (Event.Downgrade_done { block }));
-    on_downgrade_queued =
-      (fun ~proc ~block ~src ~now msg ->
-        ev ~proc ~time:now
-          (Event.Downgrade_queued { block; src; kind = Msg.tag msg }));
-    on_downgrade_replay =
-      (fun ~proc ~block ~src ~now msg ->
-        ev ~proc ~time:now
-          (Event.Downgrade_replay { block; src; kind = Msg.tag msg }));
-    on_lock_acquired =
-      (fun ~proc ~lock ~now -> ev ~proc ~time:now (Event.Lock_acquired { lock }));
-    on_lock_released =
-      (fun ~proc ~lock ~now -> ev ~proc ~time:now (Event.Lock_released { lock }));
-    on_barrier_arrive =
-      (fun ~proc ~barrier ~epoch ~now ->
-        ev ~proc ~time:now (Event.Barrier_arrive { barrier; epoch }));
-    on_barrier_leave =
-      (fun ~proc ~barrier ~epoch ~now ->
-        ev ~proc ~time:now (Event.Barrier_leave { barrier; epoch }));
-  }
+let observer t = Observer.of_events (record t)
 
 let attach ?capacity m =
   let t = create ?capacity ~nprocs:m.Machine.cfg.Config.nprocs () in
@@ -123,10 +58,7 @@ let proc_events t p =
   let cap = Array.length r.buf in
   let n = min r.count cap in
   let first = r.count - n in
-  List.init n (fun i ->
-      match r.buf.((first + i) land (cap - 1)) with
-      | Some ev -> ev
-      | None -> assert false)
+  List.init n (fun i -> r.buf.((first + i) land (cap - 1)))
 
 (* Retained events of every processor, merged into the canonical
    scheduler-invariant order: (time, proc, per-proc emission order).

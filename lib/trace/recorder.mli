@@ -12,9 +12,11 @@
     schedulers, which the trace-golden test uses as a determinism
     oracle.
 
-    High-volume application [on_load]/[on_store] hooks are deliberately
-    not recorded (the race detector consumes those); everything else in
-    {!Shasta_core.Observer.t} is. *)
+    It records every {!Shasta_core.Event.t}: the protocol events and,
+    through {!Shasta_core.Observer.of_events}, every message as a
+    [Send] and a [Recv]. High-volume application [on_load]/[on_store]
+    hooks are deliberately not recorded (the race detector consumes
+    those). *)
 
 type t
 
@@ -32,8 +34,6 @@ val attach : ?capacity:int -> Shasta_core.Machine.t -> t
 (** [create] + install on the machine (composes with any existing
     observer). *)
 
-val record : t -> proc:int -> time:int -> Event.payload -> unit
-
 val capacity : t -> int
 (** Actual per-processor ring capacity (after power-of-two rounding). *)
 
@@ -43,9 +43,9 @@ val recorded : t -> int
 val dropped : t -> int
 (** Events lost to ring overflow. *)
 
-val proc_events : t -> int -> Event.t list
+val proc_events : t -> int -> Shasta_core.Event.t list
 (** Retained events of one processor, oldest first. *)
 
-val events : t -> Event.t list
+val events : t -> Shasta_core.Event.t list
 (** All retained events merged by (time, proc, per-proc order) — the
     canonical scheduler-invariant stream. *)

@@ -4,7 +4,7 @@
    label vocabulary (Reach.r_labels): every state/private/pending/pdg
    transition and every message send the protocol can perform on one
    block, projected to home-relative coordinates. A real 2-node run's
-   Observer stream projects into the same space; conformance means
+   event stream (Core.Event) projects into the same space; conformance means
    every projected event is a member — i.e. nothing the simulator does
    on any block falls outside what the model says the protocol can do.
 
@@ -42,52 +42,43 @@ let make ~labels (m : Core.Machine.t) =
   in
   let node_of p = Core.Machine.node_of m p in
   let home_node block = node_of (Core.Machine.home_of_block m block) in
-  let observer =
-    {
-      Core.Observer.nil with
-      on_state =
-        (fun ~by:_ ~node ~block ~from_ ~to_ ~now:_ ->
-          record
-            (M.L_state
-               {
-                 at_home = node = home_node block;
-                 from_ = St.rank from_;
-                 to_ = St.rank to_;
-               }));
-      on_private =
-        (fun ~by ~proc ~block ~from_ ~to_ ~now:_ ->
-          record
-            (M.L_private
-               {
-                 at_home = node_of proc = home_node block;
-                 self = by = proc;
-                 from_ = St.rank from_;
-                 to_ = St.rank to_;
-               }));
-      on_pending =
-        (fun ~by:_ ~node ~block ~set ~now:_ ->
-          record (M.L_pending { at_home = node = home_node block; set }));
-      on_pending_downgrade =
-        (fun ~by:_ ~node ~block ~set ~now:_ ->
-          record (M.L_pdg { at_home = node = home_node block; set }));
-      on_send =
-        (fun ~src ~dst ~now:_ msg ->
-          let tg = Core.Msg.tag msg in
-          if tg < M.coherence_tags then
-            match Core.Msg.block_of msg with
-            | None -> ()
-            | Some block ->
-              let hn = home_node block in
-              record
-                (M.L_send
-                   {
-                     tg;
-                     src_home = node_of src = hn;
-                     dst_home = node_of dst = hn;
-                     same_node = node_of src = node_of dst;
-                   }));
-    }
+  let on_event { Core.Event.proc; payload; _ } =
+    match payload with
+    | State { node; block; from_; to_ } ->
+      record
+        (M.L_state
+           {
+             at_home = node = home_node block;
+             from_ = St.rank from_;
+             to_ = St.rank to_;
+           })
+    | Private { target; block; from_; to_ } ->
+      record
+        (M.L_private
+           {
+             at_home = node_of target = home_node block;
+             self = proc = target;
+             from_ = St.rank from_;
+             to_ = St.rank to_;
+           })
+    | Pending { node; block; set } ->
+      record (M.L_pending { at_home = node = home_node block; set })
+    | Pending_downgrade { node; block; set } ->
+      record (M.L_pdg { at_home = node = home_node block; set })
+    | Send { dst; kind = tg; block; _ }
+      when tg < M.coherence_tags && block >= 0 ->
+      let hn = home_node block in
+      record
+        (M.L_send
+           {
+             tg;
+             src_home = node_of proc = hn;
+             dst_home = node_of dst = hn;
+             same_node = node_of proc = node_of dst;
+           })
+    | _ -> ()
   in
+  let observer = Core.Observer.of_events on_event in
   { observer; mismatches = (fun () -> List.rev !order); events = (fun () -> !events) }
 
 (* Memoized clean-model exploration: the reference label vocabulary. *)

@@ -1,5 +1,5 @@
 (** Conformance between real runs and the abstract model: every
-    Observer event of a 2-node run, projected to the model's
+    protocol event ({!Shasta_core.Event.t}) of a 2-node run, projected to the model's
     home-relative label space, must be a member of the clean model's
     exhaustively-enumerated label vocabulary. Sound for 2-node configs
     only (the litmus geometry). *)

@@ -34,21 +34,21 @@ let edges t = List.rev t.edge_order
 
 let observer t =
   let held_of proc = Option.value ~default:[] (Hashtbl.find_opt t.held proc) in
-  {
-    Core.Observer.nil with
-    on_lock_acquired =
-      (fun ~proc ~lock ~now:_ ->
-        let held = held_of proc in
-        List.iter (fun h -> add_edge t ~held:h ~acquired:lock) held;
-        Hashtbl.replace t.held proc (lock :: held));
-    on_lock_released =
-      (fun ~proc ~lock ~now:_ ->
-        let rec drop = function
-          | [] -> []
-          | l :: rest -> if l = lock then rest else l :: drop rest
-        in
-        Hashtbl.replace t.held proc (drop (held_of proc)));
-  }
+  let on_event { Core.Event.proc; payload; _ } =
+    match payload with
+    | Lock_acquired { lock } ->
+      let held = held_of proc in
+      List.iter (fun h -> add_edge t ~held:h ~acquired:lock) held;
+      Hashtbl.replace t.held proc (lock :: held)
+    | Lock_released { lock } ->
+      let rec drop = function
+        | [] -> []
+        | l :: rest -> if l = lock then rest else l :: drop rest
+      in
+      Hashtbl.replace t.held proc (drop (held_of proc))
+    | _ -> ()
+  in
+  { Core.Observer.nil with on_event }
 
 (* ------------------------------------------------------------------ *)
 (* Cycle detection.                                                    *)

@@ -137,7 +137,7 @@ let initial ~home =
 
 (* ------------------------------------------------------------------ *)
 (* Conformance labels: the schedule-independent projection of the
-   Observer hook stream. A real run's hooks project into this space
+   protocol's event stream. A real run's events project into this space
    (Conform.observer); exhaustive exploration emits the complete label
    set of the model, and conformance means every projected real event
    is a member. Fields are node-relative booleans (home node or not)

@@ -178,10 +178,12 @@ let test_crash_home_with_remote_exclusive () =
   Machine.add_observer m
     {
       Observer.nil with
-      Observer.on_state =
-        (fun ~by:_ ~node ~block ~from_:_ ~to_ ~now ->
-          if node = 0 && block = x && to_ = Shasta_mem.State_table.Exclusive
-          then t_excl := now);
+      on_event =
+        (fun e ->
+          match e.Shasta_core.Event.payload with
+          | State { node = 0; block; to_ = Exclusive; _ } when block = x ->
+            t_excl := e.time
+          | _ -> ());
     };
   Dsm.run_controlled ~choose:default_choose h body;
   let at = !t_excl + 1 in

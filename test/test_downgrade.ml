@@ -6,6 +6,7 @@
 module Dsm = Shasta_core.Dsm
 module Config = Shasta_core.Config
 module Observer = Shasta_core.Observer
+module Event = Shasta_core.Event
 module Downgrade = Shasta_core.Downgrade
 module Msg = Shasta_core.Msg
 
@@ -103,9 +104,13 @@ let test_replay_in_arrival_order () =
   Dsm.add_observer h
     {
       Observer.nil with
-      Observer.on_downgrade_ack = (fun ~proc:_ ~block ~now:_ -> transfer block);
-      Observer.on_downgrade_replay = (fun ~proc:_ ~block:_ ~src ~now:_ msg ->
-        replayed := (src, Msg.describe msg) :: !replayed);
+      on_event =
+        (fun e ->
+          match e.Event.payload with
+          | Downgrade_ack { block } -> transfer block
+          | Downgrade_replay { src; kind; _ } ->
+            replayed := (src, Event.msg_kind_name kind) :: !replayed
+          | _ -> ());
     };
   Dsm.run h (fun ctx ->
       let p = Dsm.pid ctx in

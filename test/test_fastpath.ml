@@ -78,8 +78,12 @@ let check_one ~name ~fastpath ~record ~init ~closure ~prog =
 
 (* The full matrix for one kernel: both toggles, observed and
    unobserved, plus the cross-cutting invariants — the toggle must not
-   move a single cycle or value, and the observed run must land on the
-   unobserved one's finish clock. *)
+   move a single cycle, value or (normalized) statistic, and the
+   observed run must land on the unobserved one's finish clock. An
+   installed observer forces the reference path, so the fused check
+   runs only in the unobserved pair: the toggle's stats are compared
+   there, and the hook-stream check compares the reference path
+   against itself. *)
 let check_kernel ~name ~init ~closure ~prog () =
   let on_obs = check_one ~name ~fastpath:true ~record:true ~init ~closure ~prog in
   let on_un = check_one ~name ~fastpath:true ~record:false ~init ~closure ~prog in
@@ -96,6 +100,8 @@ let check_kernel ~name ~init ~closure ~prog () =
   Alcotest.(check (array int64)) (name ^ " toggle keeps values") on_un.values
     off_un.values;
   Alcotest.(check bool) (name ^ " toggle keeps stats") true
+    (norm on_un.stats = norm off_un.stats);
+  Alcotest.(check bool) (name ^ " toggle keeps stats (observed)") true
     (norm on_obs.stats = norm off_obs.stats);
   Alcotest.(check bool) (name ^ " toggle keeps hooks") true
     (on_obs.events = off_obs.events);

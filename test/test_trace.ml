@@ -15,6 +15,9 @@
    - exported as Chrome trace_event JSON whose every object must carry
      ph/ts/pid/tid.
 
+   Every event class ([Event.classes]) must occur in this workload or
+   in a KV run, which adds the downgrade queue and replay events.
+
    Regenerate the snapshot (only when a protocol-visible change is
    intended and understood) with:
 
@@ -24,7 +27,7 @@
 module Dsm = Shasta_core.Dsm
 module Config = Shasta_core.Config
 module Machine = Shasta_core.Machine
-module Event = Shasta_trace.Event
+module Event = Shasta_core.Event
 module Recorder = Shasta_trace.Recorder
 module Metrics = Shasta_trace.Metrics
 module Chrome = Shasta_trace.Chrome
@@ -226,6 +229,83 @@ let test_metrics_sanity () =
          find 0))
     [ "misses"; "downgrades"; "miss_latency"; "p50"; "p99"; "msg_kinds" ];
   ignore (Dsm.parallel_cycles h)
+
+(* ------------------------------------------------------------------ *)
+(* Event vocabulary *)
+
+(* One event of every payload constructor, in constructor order. *)
+let one_of_each =
+  let b = Shasta_mem.State_table.Shared and r = Shasta_core.Msg.Read in
+  List.map
+    (fun payload -> { Event.proc = 0; time = 0; payload })
+    [
+      State { node = 0; block = 0; from_ = b; to_ = b };
+      Private { target = 0; block = 0; from_ = b; to_ = b };
+      Pending { node = 0; block = 0; set = true };
+      Pending_downgrade { node = 0; block = 0; set = true };
+      Send { dst = 0; kind = 0; size = 0; block = 0 };
+      Recv { src = 0; kind = 0; size = 0; block = 0 };
+      Miss_start { block = 0; kind = r };
+      Miss_end { block = 0; kind = r; start = 0 };
+      Downgrade_ack { block = 0 };
+      Downgrade_done { block = 0 };
+      Downgrade_queued { block = 0; src = 0; kind = 0 };
+      Downgrade_replay { block = 0; src = 0; kind = 0 };
+      Lock_acquired { lock = 0 };
+      Lock_released { lock = 0 };
+      Barrier_arrive { barrier = 0; epoch = 0 };
+      Barrier_leave { barrier = 0; epoch = 0 };
+    ]
+
+let test_classes_listed () =
+  Alcotest.(check (list string))
+    "Event.classes names each constructor once, in order"
+    (List.map Event.class_name one_of_each)
+    Event.classes
+
+(* Events per class, counted as they are emitted (exact whatever the
+   recorder's ring keeps). *)
+let class_counts h =
+  let counts = Hashtbl.create 16 in
+  let add e =
+    let c = Event.class_name e in
+    Hashtbl.replace counts c (1 + Option.value ~default:0 (Hashtbl.find_opt counts c))
+  in
+  Dsm.add_observer h (Shasta_core.Observer.of_events add);
+  fun c -> Option.value ~default:0 (Hashtbl.find_opt counts c)
+
+(* The run behind [shasta_cli trace kv -p 16 -c 4 --scale 0.5]: its KV
+   traffic queues messages on open downgrade entries and replays them,
+   which the golden workload never does. Between the two, every event
+   class must occur. *)
+let test_every_class () =
+  let golden =
+    let h, body = workload () in
+    let count = class_counts h in
+    Dsm.run h body;
+    count
+  in
+  let kv =
+    let inst = Shasta_apps.Registry.find "kv" ~scale:0.5 () in
+    let cfg =
+      Config.create ~variant:Config.Smp ~nprocs:16 ~clustering:4
+        ~heap_bytes:(Shasta_apps.App.heap inst) ~seed:42 ()
+    in
+    let h = Dsm.create cfg in
+    let count = class_counts h in
+    let body, verify = inst.Shasta_apps.App.setup h in
+    Dsm.run h body;
+    Alcotest.(check bool) "kv verified" true (verify h).Shasta_apps.App.ok;
+    count
+  in
+  Alcotest.(check bool) "kv queues on downgrade entries" true
+    (kv "downgrade_queued" > 0);
+  Alcotest.(check int) "kv replays every queued message"
+    (kv "downgrade_queued") (kv "downgrade_replay");
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c ^ " occurs") true (golden c + kv c > 0))
+    Event.classes
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export: minimal JSON scan — the array must parse into objects
@@ -454,6 +534,11 @@ let () =
           ] );
         ( "metrics",
           [ Alcotest.test_case "sanity" `Quick test_metrics_sanity ] );
+        ( "events",
+          [
+            Alcotest.test_case "classes listed" `Quick test_classes_listed;
+            Alcotest.test_case "every class occurs" `Quick test_every_class;
+          ] );
         ( "chrome",
           [ Alcotest.test_case "export schema" `Quick test_chrome_export ] );
         ("differential", [ QCheck_alcotest.to_alcotest prop_schedulers_agree ]);

@@ -171,14 +171,16 @@ let test_lock_order_acyclic_kv () =
 let test_lock_observer_edges () =
   let g = Lockgraph.create () in
   let o = Lockgraph.observer g in
-  let open Shasta_core.Observer in
-  o.on_lock_acquired ~proc:0 ~lock:10 ~now:0;
-  o.on_lock_acquired ~proc:0 ~lock:11 ~now:1;
-  o.on_lock_released ~proc:0 ~lock:11 ~now:2;
-  o.on_lock_released ~proc:0 ~lock:10 ~now:3;
+  let emit time payload =
+    o.Shasta_core.Observer.on_event { Shasta_core.Event.proc = 0; time; payload }
+  in
+  emit 0 (Lock_acquired { lock = 10 });
+  emit 1 (Lock_acquired { lock = 11 });
+  emit 2 (Lock_released { lock = 11 });
+  emit 3 (Lock_released { lock = 10 });
   (* Re-acquire in the same order: no new edge, still acyclic. *)
-  o.on_lock_acquired ~proc:0 ~lock:10 ~now:4;
-  o.on_lock_acquired ~proc:0 ~lock:11 ~now:5;
+  emit 4 (Lock_acquired { lock = 10 });
+  emit 5 (Lock_acquired { lock = 11 });
   Alcotest.(check (list (pair Alcotest.int Alcotest.int))) "one edge"
     [ (10, 11) ] (Lockgraph.edges g);
   Alcotest.(check (list (list Alcotest.int))) "acyclic" [] (Lockgraph.cycles g)
